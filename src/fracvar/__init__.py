@@ -31,6 +31,7 @@ from .operators import (
     MeshMismatchError,
     SampledCurve,
     diethelm_caputo,
+    diethelm_caputo_all,
     gl_left,
     gl_right,
     gl_shifted_left,
@@ -66,6 +67,7 @@ from .direct import (
     DirectProblem,
     LagrangianSpec,
     NewtonConvergenceError,
+    NonAffineSystemError,
     SingularSystemError,
     StationaritySystem,
     discretize,
@@ -81,7 +83,6 @@ from .direct import (
 )
 from .indirect import (
     ClosedFormCoeffs,
-    NonAffineSystemError,
     TpBvpSystem,
     analytic_solution_example2,
     assemble_tpbvp_example2,

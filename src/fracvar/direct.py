@@ -30,6 +30,18 @@ class SingularSystemError(RuntimeError):
     """A stationarity or collocation system was numerically singular."""
 
 
+class NonAffineSystemError(ValueError):
+    """A solver for affine systems was handed a system that is not affine."""
+
+
+#: ``linear=True`` rejects a stationarity system whose residual at the
+#: solution of its linearization exceeds AFFINE_RTOL * m * (|J| |x| + |r0|)
+#: (infinity norms, m unknowns): Gaussian elimination leaves a relative
+#: residual of order m * eps, and the catalog's affine systems stay below
+#: 0.02 * m * eps.
+AFFINE_RTOL = 1e3 * np.finfo(float).eps
+
+
 @dataclass(frozen=True)
 class LagrangianSpec:
     """Integrand L(t, x, xdot, dalpha) with its three partial derivatives.
@@ -155,10 +167,13 @@ def solve_direct(
     """Solve the discrete stationarity system on an n-subinterval mesh.
 
     ``linear=True`` performs a single dense solve (valid when the residual
-    is affine in the unknowns, i.e. quadratic Lagrangians).  Otherwise a
-    damped Newton iteration runs from the linear interpolant of the boundary
-    values, with a forward-difference Jacobian, halving the step up to 30
-    times whenever the residual norm does not decrease.
+    is affine in the unknowns, i.e. quadratic Lagrangians) and raises
+    :class:`NonAffineSystemError` when the residual at the computed solution
+    shows that it is not.  Otherwise a damped Newton iteration runs from the
+    linear interpolant of the boundary values, with a forward-difference
+    Jacobian, halving the step up to 30 times whenever the residual norm does
+    not decrease; a step that still does not decrease it raises
+    :class:`NewtonConvergenceError`.
     """
     system = stationarity(problem, n)
     mesh = Mesh(problem.a, problem.b, n)
@@ -185,9 +200,17 @@ def _solve_affine(residual: Callable, m: int) -> np.ndarray:
         e[j] = 1.0
         jac[:, j] = residual(e) - rhs
     try:
-        return np.linalg.solve(jac, -rhs)
+        x = np.linalg.solve(jac, -rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"affine stationarity system singular: {exc}") from exc
+    scale = np.linalg.norm(jac, np.inf) * np.max(np.abs(x)) + np.max(np.abs(rhs))
+    defect = np.max(np.abs(residual(x)))
+    if not defect <= AFFINE_RTOL * m * scale:
+        raise NonAffineSystemError(
+            f"stationarity system is not affine: residual {defect:.3e} at the "
+            f"solution of its linearization (scale {scale:.3e})"
+        )
+    return x
 
 
 def _newton(
@@ -209,9 +232,14 @@ def _newton(
             x_new = x + damping * step
             r_new = residual(x_new)
             rnorm_new = np.max(np.abs(r_new))
-            if rnorm_new < rnorm or damping <= 2.0**-30:
+            if rnorm_new < rnorm:
                 break
             damping *= 0.5
+        else:
+            raise NewtonConvergenceError(
+                f"damped Newton step did not reduce the residual norm "
+                f"{rnorm:.3e} after 30 halvings"
+            )
         x, r, rnorm = x_new, r_new, rnorm_new
         if rnorm < tol:
             return x

@@ -28,14 +28,10 @@ import numpy as np
 from scipy.sparse import lil_matrix
 from scipy.sparse.linalg import splu
 
-from .direct import SingularSystemError
+from .direct import NonAffineSystemError, SingularSystemError
 from .expansions import DerivativeBundle, MomentCoeffs, moment_coeffs
 from .operators import Mesh, SampledCurve
 from .specfun import gamma
-
-
-class NonAffineSystemError(ValueError):
-    """The collocation solver was handed a rhs that is not affine in the state."""
 
 
 # ---------------------------------------------------------------------------

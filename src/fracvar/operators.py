@@ -7,7 +7,6 @@ every node.  Exact reference derivatives for the standard test functions
 (powers, exponentials, powers of log) are provided as analytic oracles.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,19 +142,22 @@ def gl_shifted_left(curve: SampledCurve, alpha: float, i: int) -> float:
     return float(np.dot(w, x[i + 1 : 0 : -1])) / curve.mesh.h**alpha
 
 
-def diethelm_caputo(
-    curve: SampledCurve, alpha: float, boundary_derivs, i: int
-) -> float:
-    """Diethelm backward finite difference value of the Caputo derivative.
+def diethelm_caputo_all(
+    curve: SampledCurve, alpha: float, boundary_derivs
+) -> np.ndarray:
+    """Diethelm backward finite difference Caputo derivative at every node.
 
-    With ``boundary_derivs[k] = x^(k)(a)`` for k = 0..floor(alpha):
+    With ``boundary_derivs = [x(a)]`` and y = x - x(a), the value at node i is
 
-        h^(-alpha)/Gamma(2-alpha) * sum_{j=0..i} a_{i,j} *
-            ( x_{i-j} - sum_k ((i-j)^k h^k / k!) x^(k)(a) )
+        h^(-alpha)/Gamma(2-alpha) * sum_{j=0..i} a_{i,j} y_{i-j}
 
     where a_{i,0} = 1, a_{i,j} = (j+1)^(1-alpha) - 2 j^(1-alpha) + (j-1)^(1-alpha)
     for 0 < j < i, and a_{i,i} = (1-alpha) i^(-alpha) - i^(1-alpha) + (i-1)^(1-alpha).
     The scheme is O(h^(2-alpha)) accurate.
+
+    The weights depend on i only at j = i, so all nodes take one convolution
+    with the interior weights c_j (c_0 = 1) plus the end correction
+    (a_{i,i} - c_i) y_0 at each i >= 1.
 
     Only 0 < alpha < 1 is supported: for alpha in (1, 2) the three-case weight
     table contains 0^(1-alpha) at j = 1 and is not well-defined as stated.
@@ -165,20 +167,29 @@ def diethelm_caputo(
             f"alpha must lie in (0, 1), got {alpha!r}; the backward-difference "
             "weight table is singular for alpha in (1, 2)"
         )
-    _check_index(curve, i)
-    m = math.floor(alpha)
     derivs = np.asarray(boundary_derivs, dtype=float)
-    if derivs.shape != (m + 1,):
-        raise ValueError(f"need boundary derivatives of orders 0..{m}")
+    if derivs.shape != (1,):
+        raise ValueError("need boundary derivatives of orders 0..0, i.e. [x(a)]")
+    n = curve.mesh.n
     h = curve.mesh.h
-    x = curve.values
-    total = 0.0
-    for j in range(i + 1):
-        taylor = sum(
-            derivs[k] * ((i - j) * h) ** k / math.factorial(k) for k in range(m + 1)
-        )
-        total += _diethelm_weight(alpha, i, j) * (x[i - j] - taylor)
-    return total * h ** (-alpha) / gamma(2.0 - alpha)
+    y = curve.values - derivs[0]
+    s = 1.0 - alpha
+    j = np.arange(1, n + 1, dtype=float)
+    c = np.empty(n + 1)
+    c[0] = 1.0
+    c[1:] = (j + 1.0) ** s - 2.0 * j**s + (j - 1.0) ** s
+    end = s * j ** (-alpha) - j**s + (j - 1.0) ** s
+    d = np.convolve(c, y)[: n + 1]
+    d[1:] += (end - c[1:]) * y[0]
+    return d * h ** (-alpha) / gamma(2.0 - alpha)
+
+
+def diethelm_caputo(
+    curve: SampledCurve, alpha: float, boundary_derivs, i: int
+) -> float:
+    """Diethelm Caputo derivative at node i: entry i of :func:`diethelm_caputo_all`."""
+    _check_index(curve, i)
+    return float(diethelm_caputo_all(curve, alpha, boundary_derivs)[i])
 
 
 def diethelm_weight(alpha: float, i: int, j: int) -> float:
@@ -197,15 +208,23 @@ def _diethelm_weight(alpha: float, i: int, j: int) -> float:
     return (1.0 - alpha) * i ** (-alpha) - i**s + (i - 1.0) ** s
 
 
-def rl_power_exact(nu: float, alpha: float, t: float, a: float) -> float:
+def rl_power_exact(nu: float, alpha: float, t, a: float):
     """Exact left Riemann-Liouville derivative of (t-a)^nu:
 
         Gamma(nu+1)/Gamma(nu+1-alpha) * (t-a)^(nu-alpha),  nu > -1, t > a.
+
+    ``t`` may be a scalar or an array (evaluated elementwise).
     """
     if nu <= -1.0:
         raise ValueError(f"nu must exceed -1, got {nu!r}")
-    if not t > a:
-        raise ValueError(f"need t > a, got t={t}, a={a}")
+    # scalars stay scalars: pow on a 0-d array may round differently
+    if np.ndim(t) == 0:
+        if not t > a:
+            raise ValueError(f"need t > a, got t={t}, a={a}")
+    else:
+        t = np.asarray(t, dtype=float)
+        if not np.all(t > a):
+            raise ValueError(f"need t > a at every node, got min t={t.min()}, a={a}")
     return gamma(nu + 1.0) / gamma(nu + 1.0 - alpha) * (t - a) ** (nu - alpha)
 
 

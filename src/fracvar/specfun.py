@@ -10,6 +10,7 @@ guard around the poles at nonpositive integers.
 """
 
 import math
+import sys
 
 
 class GammaPoleError(ValueError):
@@ -17,7 +18,8 @@ class GammaPoleError(ValueError):
 
 
 class SeriesConvergenceError(ArithmeticError):
-    """A series evaluation exceeded its iteration budget before converging."""
+    """A series evaluation did not converge within its iteration budget, or
+    cancellation left its sum less accurate than required."""
 
 
 #: Half-width of the exclusion window around nonpositive-integer poles.
@@ -25,6 +27,12 @@ POLE_WINDOW = 1e-14
 
 #: Iteration budget for Mittag-Leffler series summation.
 ML_MAX_TERMS = 10**6
+
+#: Largest accepted ratio of the estimated rounding error of the
+#: Mittag-Leffler series to the magnitude of its sum.
+ML_RTOL = 1e-10
+
+_EPS = sys.float_info.epsilon
 
 
 def gamma(z: float) -> float:
@@ -69,7 +77,12 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
 
     No asymptotic branch is provided: for large |z| the series degrades and
     eventually exceeds the ``ML_MAX_TERMS`` budget, which raises
-    :class:`SeriesConvergenceError`.
+    :class:`SeriesConvergenceError`.  The rounding error of the sum is
+    estimated as the sum of each term's evaluation error,
+    (|j log|z|| + |lgamma|) * eps * |term|, and
+    :class:`SeriesConvergenceError` is raised when it exceeds
+    ``ML_RTOL * |sum|``.  That happens only for negative z, where the
+    alternating terms cancel: for alpha = 1 between z = -5 and z = -10.
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError(f"alpha and beta must be positive, got {alpha!r}, {beta!r}")
@@ -77,21 +90,30 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
         return 1.0 / gamma(beta)
     log_abs_z = math.log(abs(z))
     total = 0.0
+    rounding = 0.0
     small_streak = 0
     for j in range(ML_MAX_TERMS):
+        log_gamma = math.lgamma(alpha * j + beta)
         try:
-            term = math.exp(j * log_abs_z - math.lgamma(alpha * j + beta))
+            term = math.exp(j * log_abs_z - log_gamma)
         except OverflowError as exc:
             raise SeriesConvergenceError(
                 f"Mittag-Leffler term overflow at j={j} "
                 f"(alpha={alpha}, beta={beta}, z={z}); |z| too large for summation"
             ) from exc
+        rounding += (abs(j * log_abs_z) + abs(log_gamma)) * term
         if z < 0 and j % 2 == 1:
             term = -term
         total += term
         if abs(term) < 1e-16 * (1.0 + abs(total)):
             small_streak += 1
             if small_streak >= 2:
+                if rounding * _EPS > ML_RTOL * abs(total):
+                    raise SeriesConvergenceError(
+                        f"Mittag-Leffler series cancels (alpha={alpha}, beta={beta}, "
+                        f"z={z}): estimated rounding error {rounding * _EPS:.3e} "
+                        f"exceeds {ML_RTOL:g} * |sum| = {ML_RTOL * abs(total):.3e}"
+                    )
                 return total
         else:
             small_streak = 0

@@ -1,5 +1,8 @@
 import csv
 import json
+import math
+
+import numpy as np
 
 from fracvar.cli import main
 
@@ -84,6 +87,22 @@ def test_derivative_mesh_method(tmp_path):
         n = int(r[0])
         worst[n] = max(worst.get(n, 0.0), float(r[4]))
     assert worst[100] < worst[50]
+
+
+def test_derivative_diethelm_exact_column_is_array_formula(tmp_path):
+    # the power-law exact column is one array evaluation on the nodes, so it
+    # carries the bits of Gamma(3)/Gamma(3-alpha) * t^(2-alpha) on an array
+    out = tmp_path / "dt.csv"
+    assert run([
+        "derivative", "--function", "t2", "--method", "diethelm", "--alpha", "0.3",
+        "--n", "2000", "--out", str(out),
+    ]) == 0
+    _, rows = read_csv(out)
+    t = np.array([float(r[1]) for r in rows])
+    exact = np.array([float(r[2]) for r in rows])
+    approx = np.array([float(r[3]) for r in rows])
+    assert np.array_equal(exact, math.gamma(3.0) / math.gamma(2.7) * t**1.7)
+    assert np.array_equal(np.array([float(r[4]) for r in rows]), np.abs(approx - exact))
 
 
 def test_direct_ex1_error_decreases(tmp_path):

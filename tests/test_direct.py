@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from fracvar import indirect
 from fracvar.direct import (
     DirectProblem,
     LagrangianSpec,
     NewtonConvergenceError,
+    NonAffineSystemError,
+    _newton,
     discretize,
     euler_lagrange_residual,
     example1_problem,
@@ -184,6 +187,31 @@ def test_newton_nonconvergence_raises():
         solve_direct(example3_problem(), 10, newton_tol=1e-30, max_iter=2)
 
 
+def test_newton_raises_when_halving_cannot_reduce_residual():
+    # |1 + x^2| has its minimum 1 at x = 0, with a vanishing Jacobian: the
+    # Newton step overshoots and no damping of it lowers the residual norm
+    calls = []
+
+    def residual(x):
+        calls.append(x.copy())
+        return 1.0 + x**2
+
+    with pytest.raises(NewtonConvergenceError, match="30 halvings"):
+        _newton(residual, np.zeros(1), 1e-10, 50)
+    # initial residual, one Jacobian column, 30 damped trials; no step taken
+    assert len(calls) == 32
+
+
+@pytest.mark.parametrize("n", [10, 20])
+def test_linear_solve_rejects_nonaffine_example3(n):
+    with pytest.raises(NonAffineSystemError):
+        solve_direct(example3_problem(), n, linear=True)
+
+
+def test_nonaffine_error_shared_with_indirect():
+    assert indirect.NonAffineSystemError is NonAffineSystemError
+
+
 # ---------------------------------------------------------------------------
 # dedicated assemblies
 # ---------------------------------------------------------------------------
@@ -199,7 +227,8 @@ def test_example1_system_structure():
     assert np.allclose(mat, mat.T, atol=1e-15)
 
 
-@pytest.mark.parametrize("n", [12, 40])
+# n = 2 and 160 also pin the affinity check of linear=True at both ends
+@pytest.mark.parametrize("n", [2, 12, 40, 160])
 def test_example1_system_matches_generic_solver(n):
     mat, rhs = example1_system(n)
     dedicated = np.linalg.solve(mat, rhs)
@@ -219,7 +248,8 @@ def test_example2_system_structure():
     assert rhs[-1] == pytest.approx(0.5 * h**1.5 * sum(w) + 1.0, rel=1e-13)
 
 
-@pytest.mark.parametrize("n", [12, 40])
+# n = 2 and 160 also pin the affinity check of linear=True at both ends
+@pytest.mark.parametrize("n", [2, 12, 40, 160])
 def test_example2_system_matches_generic_solver(n):
     mat, rhs = example2_system(n)
     dedicated = np.linalg.solve(mat, rhs)

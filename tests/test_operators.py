@@ -9,6 +9,7 @@ from fracvar.operators import (
     MeshMismatchError,
     SampledCurve,
     diethelm_caputo,
+    diethelm_caputo_all,
     diethelm_weight,
     gl_left,
     gl_left_all,
@@ -248,6 +249,60 @@ def test_diethelm_validates_alpha_and_derivs():
         diethelm_caputo(c, 0.5, [0.0, 0.0], 5)  # too many boundary derivatives
 
 
+def diethelm_reference(curve, alpha, x_a):
+    """Per-node O(i) Diethelm sum with the three-case weights a_{i,j}."""
+    h = curve.mesh.h
+    x = curve.values.tolist()
+    out = np.empty(len(x))
+    for i in range(len(x)):
+        total = 0.0
+        for j in range(i + 1):
+            total += diethelm_weight(alpha, i, j) * (x[i - j] - x_a)
+        out[i] = total * h ** (-alpha) / gamma(2.0 - alpha)
+    return out
+
+
+DIETHELM_CASES = {
+    "t2": (lambda t: t * t, 0.0),
+    "exp2t": (lambda t: math.exp(2.0 * t), 1.0),
+    # boundary value 2 differs from x(0) = 3, so y_0 != 0 and the j = i
+    # end correction contributes
+    "3+t": (lambda t: 3.0 + t, 2.0),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.95])
+@pytest.mark.parametrize("name", sorted(DIETHELM_CASES))
+def test_diethelm_all_matches_reference_loop(alpha, name):
+    f, x_a = DIETHELM_CASES[name]
+    for n in (1, 2, 3, 64, 801):
+        c = curve_of(f, n=n)
+        np.testing.assert_allclose(
+            diethelm_caputo_all(c, alpha, [x_a]),
+            diethelm_reference(c, alpha, x_a),
+            rtol=1e-12,
+            atol=0.0,
+        )
+
+
+def test_diethelm_pointwise_is_entry_of_all_node():
+    c = curve_of(lambda t: math.exp(2.0 * t), n=40)
+    d = diethelm_caputo_all(c, 0.3, [1.0])
+    assert [diethelm_caputo(c, 0.3, [1.0], i) for i in range(41)] == d.tolist()
+    with pytest.raises(IndexError):
+        diethelm_caputo(c, 0.3, [1.0], 41)
+
+
+def test_diethelm_all_validates_alpha_and_derivs():
+    c = curve_of(lambda t: t, n=10)
+    for alpha in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            diethelm_caputo_all(c, alpha, [0.0])
+    for derivs in ([], [0.0, 0.0], [[0.0]]):
+        with pytest.raises(ValueError):
+            diethelm_caputo_all(c, 0.5, derivs)
+
+
 # ---------------------------------------------------------------------------
 # exact reference derivatives
 # ---------------------------------------------------------------------------
@@ -266,6 +321,34 @@ def test_rl_power_exact_values():
     assert rl_power_exact(5.0, 0.5, 1.0, 0.0) == pytest.approx(
         gamma(6.0) / gamma(5.5), rel=1e-13
     )
+
+
+def test_rl_power_exact_array_is_elementwise():
+    t = np.linspace(0.5, 2.0, 12).reshape(3, 4)
+    d = rl_power_exact(2.5, 0.3, t, 0.25)
+    assert d.shape == t.shape
+    expect = [[rl_power_exact(2.5, 0.3, float(v), 0.25) for v in row] for row in t]
+    np.testing.assert_allclose(d, expect, rtol=1e-15, atol=0.0)
+
+
+def test_rl_power_exact_array_rejects_any_node_at_or_below_a():
+    for bad in (0.0, -0.1):
+        t = np.array([0.5, bad, 1.0])
+        with pytest.raises(ValueError):
+            rl_power_exact(2.0, 0.5, t, 0.0)
+    with pytest.raises(ValueError):
+        rl_power_exact(2.0, 0.5, np.array([1.0, np.nan]), 0.0)
+
+
+def test_rl_power_exact_scalar_stays_scalar_bits():
+    # scalar inputs take scalar pow, never a 0-d array
+    rng = np.random.default_rng(3)
+    for nu, alpha in ((2.0, 0.5), (4.0, 0.3), (0.5, 0.7)):
+        coeff = gamma(nu + 1.0) / gamma(nu + 1.0 - alpha)
+        for t in rng.uniform(1e-3, 5.0, 200).tolist():
+            got = rl_power_exact(nu, alpha, t, 0.0)
+            assert type(got) is float
+            assert got == coeff * (t - 0.0) ** (nu - alpha)
 
 
 def test_rl_power_exact_pole_propagates():

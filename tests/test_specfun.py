@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from fracvar.specfun import (
@@ -91,6 +92,36 @@ def test_mittag_leffler_validates_parameters():
         mittag_leffler(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         mittag_leffler(1.0, -0.5, 1.0)
+
+
+def _ml_reference(alpha, beta, z):
+    """E_{alpha,beta}(z) by its power series in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        total = mpmath.mpf(0)
+        for j in range(2000):
+            term = mpmath.mpf(z) ** j / mpmath.gamma(alpha * j + beta)
+            total += term
+            if j > 10 and abs(term) < mpmath.mpf(10) ** -40 * abs(total):
+                return float(total)
+    raise AssertionError("reference series did not converge")
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1.0, 0.5), (1.0, 0.7), (1.0, 0.3)])
+def test_mittag_leffler_negative_argument_accurate_or_raises(alpha, beta):
+    for z in (-1.0, -5.0, -10.0, -20.0, -40.0):
+        ref = _ml_reference(alpha, beta, z)
+        try:
+            val = mittag_leffler(alpha, beta, z)
+        except SeriesConvergenceError:
+            continue
+        assert z > -20.0, f"z={z} must raise"
+        assert abs(val - ref) <= 1e-10 * abs(ref)
+
+
+def test_mittag_leffler_cancellation_raises():
+    for z in (-20.0, -40.0):  # unguarded: -1.532e-2 off by 9e-5, and -539.2
+        with pytest.raises(SeriesConvergenceError, match="cancels"):
+            mittag_leffler(1.0, 0.5, z)
 
 
 def test_mittag_leffler_nonconvergence():
