@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import toeplitz
 
+from .expansions import _eval_on
 from .operators import Mesh, SampledCurve, gl_left_all, gl_right_all, gl_weights
 from .specfun import gamma, gen_binomial
 
@@ -40,6 +42,13 @@ class NonAffineSystemError(ValueError):
 #: residual of order m * eps, and the catalog's affine systems stay below
 #: 0.02 * m * eps.
 AFFINE_RTOL = 1e3 * np.finfo(float).eps
+
+#: Damped Newton on n >= 2 * CONTINUATION_MIN_N subintervals starts from the
+#: interpolated solution on n // 2: on the degenerate (quartic) minimum of
+#: Example 3 the iteration count from the linear interpolant grows with n
+#: and passes the default budget of 50 from n = 164 on; from the coarse
+#: solution it stays at 10-25 up to n = 413.
+CONTINUATION_MIN_N = 8
 
 
 @dataclass(frozen=True)
@@ -88,37 +97,38 @@ class StationaritySystem:
     residual: Callable
 
 
-def _assemble_state(problem: DirectProblem, n: int, interior: np.ndarray):
-    """Full node vector, nodes, xdot and D^alpha arrays for given interior values."""
-    mesh = Mesh(problem.a, problem.b, n)
-    x = np.empty(n + 1)
-    x[0] = problem.x_a
-    x[-1] = problem.x_b
-    x[1:-1] = interior
-    t = mesh.nodes()
-    h = mesh.h
-    xdot = np.empty(n + 1)
-    xdot[0] = 0.0  # never used: quadrature runs over i = 1..n
-    xdot[1:] = (x[1:] - x[:-1]) / h
-    w = gl_weights(problem.alpha, n).w
-    dalpha = np.convolve(w, x)[: n + 1] / h**problem.alpha
-    return mesh, t, h, x, xdot, dalpha
+def _gl_rows(alpha: float, mesh: Mesh) -> np.ndarray:
+    """Rows 1..n of the lower-triangular GL Toeplitz matrix G = h^(-alpha) T(w),
+    so that D^alpha x at nodes 1..n is G x over the full node vector."""
+    w = gl_weights(alpha, mesh.n).w
+    return toeplitz(w, np.zeros(mesh.n + 1))[1:] / mesh.h**alpha
+
+
+def _assemble_state(problem: DirectProblem, mesh: Mesh, g: np.ndarray, interior):
+    """Nodes, values, xdot and D^alpha at nodes 1..n for interior values given
+    as one state (m,) or a batch (k, m) with one state per row."""
+    interior = np.asarray(interior, dtype=float)
+    x = np.empty(interior.shape[:-1] + (mesh.n + 1,))
+    x[..., 0] = problem.x_a
+    x[..., -1] = problem.x_b
+    x[..., 1:-1] = interior
+    xdot = np.diff(x, axis=-1) / mesh.h
+    return mesh.nodes()[1:], x[..., 1:], xdot, x @ g.T
 
 
 def discretize(problem: DirectProblem, n: int) -> Callable:
     """Discretized functional Psi(x_1..x_{n-1}) =
-    h * sum_{i=1..n} L(t_i, x_i, (x_i - x_{i-1})/h, h^(-alpha) sum w_k x_{i-k})."""
+    h * sum_{i=1..n} L(t_i, x_i, (x_i - x_{i-1})/h, h^(-alpha) sum w_k x_{i-k});
+    a batch (k, m) of states gives k values."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    lag = problem.lagrangian
+    mesh = Mesh(problem.a, problem.b, n)
+    g = _gl_rows(problem.alpha, mesh)
 
-    def psi(interior) -> float:
-        interior = np.asarray(interior, dtype=float)
-        _, t, h, x, xdot, dalpha = _assemble_state(problem, n, interior)
-        total = 0.0
-        for i in range(1, n + 1):
-            total += lag.L(t[i], x[i], xdot[i], dalpha[i])
-        return h * total
+    def psi(interior):
+        state = _assemble_state(problem, mesh, g, interior)
+        total = mesh.h * np.sum(_eval_on(problem.lagrangian.L, *state), axis=-1)
+        return float(total) if total.ndim == 0 else total
 
     return psi
 
@@ -129,29 +139,24 @@ def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
         r_i = dL/dx(t_i) + h^(-alpha) sum_{k=0..n-i} w_k dL/dD(t_{i+k})
               + (1/h) [dL/dxdot(t_i) - dL/dxdot(t_{i+1})]    (xdot terms
               present only when the Lagrangian uses xdot)
+
+    i.e. (dL/dD @ G)_i + dL/dx_i + ..., each partial evaluated once on the
+    node arrays.  The residual maps one state (m,) to (m,) and a batch
+    (k, m) to (k, m), row by row.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     lag = problem.lagrangian
-    w = gl_weights(problem.alpha, n).w
+    mesh = Mesh(problem.a, problem.b, n)
+    g = _gl_rows(problem.alpha, mesh)
 
     def residual(interior) -> np.ndarray:
-        interior = np.asarray(interior, dtype=float)
-        _, t, h, x, xdot, dalpha = _assemble_state(problem, n, interior)
-        dLdD = np.array(
-            [lag.dL_ddalpha(t[i], x[i], xdot[i], dalpha[i]) for i in range(n + 1)]
-        )
-        r = np.empty(n - 1)
-        hma = h**-problem.alpha
-        for i in range(1, n):
-            r[i - 1] = lag.dL_dx(t[i], x[i], xdot[i], dalpha[i]) + hma * float(
-                np.dot(w[: n - i + 1], dLdD[i:])
-            )
-            if lag.uses_xdot:
-                r[i - 1] += (
-                    lag.dL_dxdot(t[i], x[i], xdot[i], dalpha[i])
-                    - lag.dL_dxdot(t[i + 1], x[i + 1], xdot[i + 1], dalpha[i + 1])
-                ) / h
+        state = _assemble_state(problem, mesh, g, interior)
+        r = (_eval_on(lag.dL_ddalpha, *state) @ g)[..., 1:n]
+        r += _eval_on(lag.dL_dx, *state)[..., : n - 1]
+        if lag.uses_xdot:
+            p = _eval_on(lag.dL_dxdot, *state)
+            r += (p[..., :-1] - p[..., 1:]) / mesh.h
         return r
 
     return StationaritySystem(n, residual)
@@ -169,21 +174,22 @@ def solve_direct(
     ``linear=True`` performs a single dense solve (valid when the residual
     is affine in the unknowns, i.e. quadratic Lagrangians) and raises
     :class:`NonAffineSystemError` when the residual at the computed solution
-    shows that it is not.  Otherwise a damped Newton iteration runs from the
-    linear interpolant of the boundary values, with a forward-difference
-    Jacobian, halving the step up to 30 times whenever the residual norm does
-    not decrease; a step that still does not decrease it raises
-    :class:`NewtonConvergenceError`.
+    shows that it is not.  Otherwise a damped Newton iteration runs with a
+    forward-difference Jacobian (all m probes in one batched residual call),
+    halving the step up to 30 times whenever the residual norm does not
+    decrease; a step that still does not decrease it raises
+    :class:`NewtonConvergenceError`.  Newton starts from the linear
+    interpolant of the boundary values when n < 2 * CONTINUATION_MIN_N, and
+    otherwise from the interpolated solution on n // 2 subintervals (same
+    tolerance and iteration budget), falling back to the linear interpolant
+    when that coarse solve fails.
     """
     system = stationarity(problem, n)
     mesh = Mesh(problem.a, problem.b, n)
-    t = mesh.nodes()
-    guess = problem.x_a + (problem.x_b - problem.x_a) * (t[1:-1] - problem.a) / (
-        problem.b - problem.a
-    )
     if linear:
         interior = _solve_affine(system.residual, n - 1)
     else:
+        guess = _initial_guess(problem, mesh, newton_tol, max_iter)
         interior = _newton(system.residual, guess, newton_tol, max_iter)
     x = np.empty(n + 1)
     x[0] = problem.x_a
@@ -192,13 +198,26 @@ def solve_direct(
     return SampledCurve(mesh, x)
 
 
+def _initial_guess(
+    problem: DirectProblem, mesh: Mesh, tol: float, max_iter: int
+) -> np.ndarray:
+    """Newton's starting point: the coarse-grid solution, interpolated, or
+    the linear interpolant of the boundary values (see solve_direct)."""
+    t = mesh.nodes()[1:-1]
+    if mesh.n >= 2 * CONTINUATION_MIN_N:
+        try:
+            coarse = solve_direct(problem, mesh.n // 2, tol, max_iter)
+            return np.interp(t, coarse.mesh.nodes(), coarse.values)
+        except (NewtonConvergenceError, SingularSystemError):
+            pass
+    return problem.x_a + (problem.x_b - problem.x_a) * (t - problem.a) / (
+        problem.b - problem.a
+    )
+
+
 def _solve_affine(residual: Callable, m: int) -> np.ndarray:
     rhs = residual(np.zeros(m))
-    jac = np.empty((m, m))
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = 1.0
-        jac[:, j] = residual(e) - rhs
+    jac = (residual(np.eye(m)) - rhs).T
     try:
         x = np.linalg.solve(jac, -rhs)
     except np.linalg.LinAlgError as exc:
@@ -250,15 +269,10 @@ def _newton(
 
 
 def _numeric_jacobian(residual: Callable, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    m = len(x)
-    jac = np.empty((m, m))
-    sqrt_eps = math.sqrt(np.finfo(float).eps)
-    for j in range(m):
-        step = sqrt_eps * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xp[j] += step
-        jac[:, j] = (residual(xp) - r0) / step
-    return jac
+    """Forward differences with steps sqrt(eps) (1 + |x_j|), all m probes
+    x + step_j e_j evaluated as one batch (row j of the batch is probe j)."""
+    steps = math.sqrt(np.finfo(float).eps) * (1.0 + np.abs(x))
+    return ((residual(x + np.diag(steps)) - r0) / steps[:, None]).T
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +289,8 @@ def example1_problem() -> DirectProblem:
     """Quadratic tracking of D^{1/2} t^2 on [0,1]; minimizer x(t) = t^2."""
     lag = LagrangianSpec(
         L=lambda t, x, xd, d: (d - _f1(t)) ** 2,
-        dL_dx=lambda t, x, xd, d: 0.0,
-        dL_dxdot=lambda t, x, xd, d: 0.0,
+        dL_dx=lambda t, x, xd, d: 0.0 * d,
+        dL_dxdot=lambda t, x, xd, d: 0.0 * d,
         dL_ddalpha=lambda t, x, xd, d: 2.0 * (d - _f1(t)),
         uses_xdot=False,
     )
@@ -288,9 +302,9 @@ def example2_problem(alpha: float = 0.5) -> DirectProblem:
     closed form (see indirect.analytic_solution_example2)."""
     lag = LagrangianSpec(
         L=lambda t, x, xd, d: d - xd**2,
-        dL_dx=lambda t, x, xd, d: 0.0,
+        dL_dx=lambda t, x, xd, d: 0.0 * d,
         dL_dxdot=lambda t, x, xd, d: -2.0 * xd,
-        dL_ddalpha=lambda t, x, xd, d: 1.0,
+        dL_ddalpha=lambda t, x, xd, d: 1.0 + 0.0 * d,
         uses_xdot=True,
     )
     return DirectProblem(0.0, 1.0, 0.0, 1.0, alpha, lag)
@@ -318,8 +332,8 @@ def example3_problem() -> DirectProblem:
     16t^5 - 20t^3 + 5t; its stationarity system is nonlinear (cubic)."""
     lag = LagrangianSpec(
         L=lambda t, x, xd, d: (d - example3_phi(t)) ** 4,
-        dL_dx=lambda t, x, xd, d: 0.0,
-        dL_dxdot=lambda t, x, xd, d: 0.0,
+        dL_dx=lambda t, x, xd, d: 0.0 * d,
+        dL_dxdot=lambda t, x, xd, d: 0.0 * d,
         dL_ddalpha=lambda t, x, xd, d: 4.0 * (d - example3_phi(t)) ** 3,
         uses_xdot=False,
     )
@@ -411,23 +425,13 @@ def euler_lagrange_residual(curve: SampledCurve, problem: DirectProblem) -> Samp
     if curve.mesh.a != problem.a or curve.mesh.b != problem.b:
         raise ValueError("curve interval does not match the problem interval")
     lag = problem.lagrangian
-    n = curve.mesh.n
     t = curve.mesh.nodes()
     h = curve.mesh.h
     x = curve.values
     xdot = np.gradient(x, h)
-    dalpha = gl_left_all(curve, problem.alpha)
-    dLdD = SampledCurve(
-        curve.mesh,
-        np.array([lag.dL_ddalpha(t[i], x[i], xdot[i], dalpha[i]) for i in range(n + 1)]),
-    )
-    res = gl_right_all(dLdD, problem.alpha)
-    res += np.array(
-        [lag.dL_dx(t[i], x[i], xdot[i], dalpha[i]) for i in range(n + 1)]
-    )
+    state = (t, x, xdot, gl_left_all(curve, problem.alpha))
+    dLdD = SampledCurve(curve.mesh, _eval_on(lag.dL_ddalpha, *state))
+    res = gl_right_all(dLdD, problem.alpha) + _eval_on(lag.dL_dx, *state)
     if lag.uses_xdot:
-        dLdxd = np.array(
-            [lag.dL_dxdot(t[i], x[i], xdot[i], dalpha[i]) for i in range(n + 1)]
-        )
-        res -= np.gradient(dLdxd, h)
+        res -= np.gradient(_eval_on(lag.dL_dxdot, *state), h)
     return SampledCurve(curve.mesh, res)

@@ -338,15 +338,22 @@ def _check_moment_args(p: int, quad_n: int) -> None:
         raise ValueError(f"quad_n must be >= 1, got {quad_n}")
 
 
-def _eval_on(f: Callable, grid: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar function on a grid, vectorized when it supports it."""
+def _eval_on(f: Callable, *arrays: np.ndarray) -> np.ndarray:
+    """Evaluate a scalar function of one or more arguments elementwise on
+    arrays broadcast to a common shape: one call on the whole arrays when
+    ``f`` returns a result of exactly that shape, otherwise (it raised, or
+    returned a scalar or a differently shaped array) one call per element."""
+    if len(arrays) > 1:  # the moment quadratures make thousands of 1-array calls
+        arrays = np.broadcast_arrays(*arrays)
+    shape = arrays[0].shape
     try:
-        out = np.asarray(f(grid), dtype=float)
-        if out.shape == grid.shape:
+        out = np.asarray(f(*arrays), dtype=float)
+        if out.shape == shape:
             return out
     except (TypeError, ValueError):
         pass
-    return np.array([float(f(t)) for t in grid])
+    flat = zip(*(a.ravel() for a in arrays))
+    return np.array([float(f(*args)) for args in flat]).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from fracvar import indirect
+from fracvar import direct, indirect
 from fracvar.direct import (
+    CONTINUATION_MIN_N,
     DirectProblem,
     LagrangianSpec,
     NewtonConvergenceError,
     NonAffineSystemError,
     _newton,
+    _numeric_jacobian,
     discretize,
     euler_lagrange_residual,
     example1_problem,
@@ -21,8 +26,9 @@ from fracvar.direct import (
     solve_direct,
     stationarity,
 )
+from fracvar.expansions import _eval_on
 from fracvar.indirect import analytic_solution_example2
-from fracvar.operators import Mesh, SampledCurve, max_error
+from fracvar.operators import Mesh, SampledCurve, gl_weights, max_error
 from fracvar.specfun import gamma, gen_binomial
 
 CATALOG = {
@@ -140,6 +146,141 @@ def test_example1_residual_is_affine():
 
 
 # ---------------------------------------------------------------------------
+# batched evaluation against the per-node loops
+# ---------------------------------------------------------------------------
+
+
+def loop_residual(problem, n, interior):
+    """Stationarity residual by one Lagrangian call per node and partial, the
+    GL sum by convolution and one dot product per row."""
+    lag = problem.lagrangian
+    h = (problem.b - problem.a) / n
+    t = problem.a + np.arange(n + 1) * h
+    x = np.concatenate(([problem.x_a], interior, [problem.x_b]))
+    xdot = np.concatenate(([0.0], np.diff(x) / h))
+    w = gl_weights(problem.alpha, n).w
+    dalpha = np.convolve(w, x)[: n + 1] / h**problem.alpha
+    args = [(t[i], x[i], xdot[i], dalpha[i]) for i in range(n + 1)]
+    dLdD = np.array([lag.dL_ddalpha(*args[i]) for i in range(n + 1)])
+    r = np.empty(n - 1)
+    for i in range(1, n):
+        gl_sum = float(np.dot(w[: n - i + 1], dLdD[i:]))
+        r[i - 1] = lag.dL_dx(*args[i]) + gl_sum / h**problem.alpha
+        if lag.uses_xdot:
+            r[i - 1] += (lag.dL_dxdot(*args[i]) - lag.dL_dxdot(*args[i + 1])) / h
+    return r
+
+
+def loop_jacobian(residual, x, r0):
+    """Forward-difference Jacobian, one residual call per column."""
+    jac = np.empty((len(x), len(x)))
+    for j in range(len(x)):
+        step = math.sqrt(np.finfo(float).eps) * (1.0 + abs(x[j]))
+        xp = x.copy()
+        xp[j] += step
+        jac[:, j] = (residual(xp) - r0) / step
+    return jac
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+@pytest.mark.parametrize("n", [2, 3, 12, 40])
+def test_residual_matches_loop_oracle(name, n):
+    problem, _ = CATALOG[name]
+    system = stationarity(problem, n)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        u = rng.uniform(-1.0, 2.0, n - 1)
+        expect = loop_residual(problem, n, u)
+        got = system.residual(u)
+        assert got.shape == (n - 1,)
+        assert np.max(np.abs(got - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+@pytest.mark.parametrize("n", [2, 3, 12, 40])
+def test_batched_residual_and_psi_match_rows(name, n):
+    problem, _ = CATALOG[name]
+    system = stationarity(problem, n)
+    psi = discretize(problem, n)
+    batch = np.random.default_rng(3 * n).uniform(-1.0, 2.0, (5, n - 1))
+    rows = np.array([system.residual(u) for u in batch])
+    got = system.residual(batch)
+    assert got.shape == batch.shape
+    assert np.max(np.abs(got - rows)) <= 1e-13 * np.max(np.abs(rows))
+    values = np.array([psi(u) for u in batch])
+    assert np.max(np.abs(psi(batch) - values)) <= 1e-13 * np.max(np.abs(values))
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+@pytest.mark.parametrize("n", [2, 3, 12, 40])
+def test_batched_jacobian_matches_columnwise(name, n):
+    problem, _ = CATALOG[name]
+    residual = stationarity(problem, n).residual
+    x = np.random.default_rng(7 * n).uniform(-1.0, 2.0, n - 1)
+    r0 = residual(x)
+    expect = loop_jacobian(residual, x, r0)
+    got = _numeric_jacobian(residual, x, r0)
+    assert np.max(np.abs(got - expect)) <= 1e-6 * np.max(np.abs(expect))
+
+
+def test_eval_on_falls_back_for_scalar_results():
+    t = np.linspace(0.0, 1.0, 5)
+    x = np.arange(10.0).reshape(2, 5)
+    # a 0-d result is never broadcast: it is evaluated again per element
+    assert np.array_equal(_eval_on(lambda t, x: 0.0, t, x), np.zeros((2, 5)))
+    assert np.array_equal(_eval_on(lambda t, x: np.sum(t + x), t, x), t + x)
+    # scalar-only callables raise on arrays and are evaluated per element
+    got = _eval_on(lambda t, x: math.pow(t, 2) + float(x), t, x)
+    assert np.array_equal(got, t**2 + x)
+    # a result of another shape is not accepted either
+    calls = []
+
+    def row_sum(t, x):
+        calls.append(np.shape(x))
+        return np.sum(x, axis=-1)
+
+    assert np.array_equal(_eval_on(row_sum, t, x), x)
+    assert calls[0] == (2, 5) and len(calls) == 11
+
+
+def _f1_scalar(t):
+    return 2.0 / gamma(2.5) * math.pow(t, 1.5)
+
+
+SCALAR_ONLY = {
+    "ex1": (
+        example1_problem(),
+        LagrangianSpec(
+            L=lambda t, x, xd, d: math.pow(d - _f1_scalar(t), 2),
+            dL_dx=lambda t, x, xd, d: 0.0,
+            dL_dxdot=lambda t, x, xd, d: 0.0,
+            dL_ddalpha=lambda t, x, xd, d: float(2.0 * (d - _f1_scalar(t))),
+        ),
+    ),
+    "ex3": (
+        example3_problem(),
+        LagrangianSpec(
+            L=lambda t, x, xd, d: math.pow(d - float(example3_phi(t)), 4),
+            dL_dx=lambda t, x, xd, d: 0.0,
+            dL_dxdot=lambda t, x, xd, d: 0.0,
+            dL_ddalpha=lambda t, x, xd, d: 4.0 * math.pow(d - float(example3_phi(t)), 3),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_ONLY))
+@pytest.mark.parametrize("n", [12, 24])
+def test_scalar_only_lagrangian_solves_like_catalog(name, n):
+    problem, lag = SCALAR_ONLY[name]
+    scalar_problem = dataclasses.replace(problem, lagrangian=lag)
+    linear = name == "ex1"
+    expect = solve_direct(problem, n, linear=linear).values
+    got = solve_direct(scalar_problem, n, linear=linear).values
+    assert np.max(np.abs(got - expect)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
 # solves and convergence
 # ---------------------------------------------------------------------------
 
@@ -200,6 +341,58 @@ def test_newton_raises_when_halving_cannot_reduce_residual():
         _newton(residual, np.zeros(1), 1e-10, 50)
     # initial residual, one Jacobian column, 30 damped trials; no step taken
     assert len(calls) == 32
+
+
+@pytest.mark.parametrize("n", [164, 206, 260])
+def test_continuation_converges_within_default_budget(n):
+    # from the linear interpolant Newton needs more than the default 50
+    # iterations at these n; seeded from the n // 2 solution it does not
+    problem = example3_problem()
+    curve = solve_direct(problem, n)
+    interior = curve.values[1:-1]
+    linear_guess = curve.mesh.nodes()[1:-1]  # x(0) = 0 and x(1) = 1
+    reference = _newton(stationarity(problem, n).residual, linear_guess, 1e-10, 200)
+    assert np.max(np.abs(interior - reference)) <= 1e-8
+    assert np.max(np.abs(example3_residual(interior, n))) <= 1e-8
+
+
+def _spy_solve_direct(monkeypatch, fail_below=0):
+    """Record the n of every solve_direct call, the nested ones included;
+    Newton solves on fewer than ``fail_below`` subintervals raise."""
+    calls = []
+    original = direct.solve_direct
+
+    def spy(problem, n, *args, **kwargs):
+        calls.append(n)
+        if n < fail_below:
+            raise NewtonConvergenceError("coarse solve refused")
+        return original(problem, n, *args, **kwargs)
+
+    monkeypatch.setattr(direct, "solve_direct", spy)
+    return spy, calls
+
+
+def test_continuation_threshold(monkeypatch):
+    spy, calls = _spy_solve_direct(monkeypatch)
+    spy(example3_problem(), 2 * CONTINUATION_MIN_N - 1)
+    assert calls == [2 * CONTINUATION_MIN_N - 1]
+    calls.clear()
+    spy(example3_problem(), 4 * CONTINUATION_MIN_N + 1)
+    assert calls == [4 * CONTINUATION_MIN_N + 1, 2 * CONTINUATION_MIN_N, CONTINUATION_MIN_N]
+    calls.clear()
+    spy(example1_problem(), 40, linear=True)
+    assert calls == [40]
+
+
+def test_continuation_falls_back_to_linear_guess(monkeypatch):
+    n = 2 * CONTINUATION_MIN_N + 4
+    spy, calls = _spy_solve_direct(monkeypatch, fail_below=n)
+    problem = example3_problem()
+    curve = spy(problem, n, max_iter=200)
+    assert calls == [n, n // 2]
+    linear_guess = curve.mesh.nodes()[1:-1]  # x(0) = 0 and x(1) = 1
+    reference = _newton(stationarity(problem, n).residual, linear_guess, 1e-10, 200)
+    assert np.array_equal(curve.values[1:-1], reference)
 
 
 @pytest.mark.parametrize("n", [10, 20])
