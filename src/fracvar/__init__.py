@@ -83,6 +83,7 @@ from .direct import (
 )
 from .indirect import (
     ClosedFormCoeffs,
+    IllConditionedSystemError,
     TpBvpSystem,
     analytic_solution_example2,
     assemble_tpbvp_example2,

@@ -67,6 +67,7 @@ NUMERICAL_ERRORS = (
     SeriesConvergenceError,
     expansions.ExpansionDomainError,
     NonAffineSystemError,
+    indirect.IllConditionedSystemError,
     np.linalg.LinAlgError,
 )
 

@@ -327,6 +327,13 @@ def example3_minimizer(t):
     return 16.0 * t**5 - 20.0 * t**3 + 5.0 * t
 
 
+def _example3_dL_ddalpha(t, x, xd, d):
+    # e * e * e, not e ** 3: numpy's float power is an order of magnitude
+    # slower on arrays with entries of both signs
+    e = d - example3_phi(t)
+    return 4.0 * e * e * e
+
+
 def example3_problem() -> DirectProblem:
     """Quartic tracking problem on [0,1] with oscillating minimizer
     16t^5 - 20t^3 + 5t; its stationarity system is nonlinear (cubic)."""
@@ -334,7 +341,7 @@ def example3_problem() -> DirectProblem:
         L=lambda t, x, xd, d: (d - example3_phi(t)) ** 4,
         dL_dx=lambda t, x, xd, d: 0.0 * d,
         dL_dxdot=lambda t, x, xd, d: 0.0 * d,
-        dL_ddalpha=lambda t, x, xd, d: 4.0 * (d - example3_phi(t)) ** 3,
+        dL_ddalpha=_example3_dL_ddalpha,
         uses_xdot=False,
     )
     return DirectProblem(0.0, 1.0, 0.0, 1.0, 0.5, lag)

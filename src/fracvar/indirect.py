@@ -15,18 +15,20 @@ Two reductions of the catalog variational problems are implemented:
   origin, and is solved numerically.
 
 The generic linear TPBVP solver uses a midpoint (box) collocation scheme:
-one global banded solve, second-order accurate, immune to the opposite
+one global banded LU, second-order accurate, immune to the opposite
 integration directions of state and costate equations that make single
-shooting ill-conditioned here.
+shooting ill-conditioned here.  It works in power-scaled variables
+t^(-k) y, without which the moment systems' t^(+-p) couplings make the
+matrix numerically singular from N = 6 on.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import lil_matrix
-from scipy.sparse.linalg import splu
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .direct import NonAffineSystemError, SingularSystemError
 from .expansions import DerivativeBundle, MomentCoeffs, moment_coeffs
@@ -174,6 +176,19 @@ def solve_example2_moment_closed(alpha: float, N: int) -> Callable:
 # ---------------------------------------------------------------------------
 
 
+class IllConditionedSystemError(RuntimeError):
+    """A collocation solve lost too many digits to be trusted (its one-step
+    iterative-refinement estimate exceeded :data:`REFINEMENT_RTOL`)."""
+
+
+#: ``solve_linear_tpbvp`` raises :class:`IllConditionedSystemError` when one
+#: step of iterative refinement would move the solution by more than
+#: REFINEMENT_RTOL times its size (infinity norms, scaled variables).  A
+#: well-scaled catalog system stays below 1e-11; an unscaled Example 4 at
+#: N >= 6 is above 1e-2.
+REFINEMENT_RTOL = 1e-6
+
+
 @dataclass(frozen=True)
 class TpBvpSystem:
     """First-order ODE system y' = rhs(t, y) with split boundary conditions.
@@ -181,16 +196,30 @@ class TpBvpSystem:
     ``left_conditions`` / ``right_conditions`` are (component index, value)
     pairs imposed at t = a and t = b; together they must pin all ``dimension``
     degrees of freedom.
+
+    ``coefficients``, when given, states the system as affine by
+    construction: ``coefficients(t)`` maps a 1-D array of times to
+    ``(F, g)`` of shapes (len(t), m, m) and (len(t), m) with
+    y' = F(t) y + g(t); ``rhs`` must then be the same map.  Without it the
+    solver probes ``rhs`` for F and g.
+
+    ``scale_powers`` (empty, or one per component) lets the solver work in
+    z_i = t^(-k_i) y_i, which keeps the collocation matrix well conditioned
+    when components grow or decay like powers of t.  A left condition on a
+    scaled component (k_i != 0) must have the value 0.
     """
 
     dimension: int
     rhs: Callable
     left_conditions: tuple
     right_conditions: tuple
+    coefficients: Optional[Callable] = None
+    scale_powers: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "left_conditions", tuple(self.left_conditions))
         object.__setattr__(self, "right_conditions", tuple(self.right_conditions))
+        object.__setattr__(self, "scale_powers", tuple(float(k) for k in self.scale_powers))
         if len(self.left_conditions) + len(self.right_conditions) != self.dimension:
             raise ValueError(
                 f"{self.dimension} conditions required, got "
@@ -202,6 +231,62 @@ class TpBvpSystem:
                 raise ValueError(f"duplicate condition indices on one side: {idx}")
             if any(not 0 <= i < self.dimension for i in idx):
                 raise ValueError(f"condition index outside 0..{self.dimension - 1}")
+        if len(self.scale_powers) not in (0, self.dimension):
+            raise ValueError(
+                f"need 0 or {self.dimension} scale powers, got {len(self.scale_powers)}"
+            )
+        for i, val in self.left_conditions:
+            if self.scale_powers and self.scale_powers[i] != 0.0 and val != 0.0:
+                raise ValueError(
+                    f"left condition on scaled component {i} must be 0, got {val!r}"
+                )
+
+
+def _rhs_from(coefficients: Callable) -> Callable:
+    def rhs(t, y):
+        F, g = coefficients(np.array([t], dtype=float))
+        return F[0] @ np.asarray(y, dtype=float) + g[0]
+
+    return rhs
+
+
+def _moment_tpbvp(alpha: float, N: int, fill: Callable, x_right: float) -> TpBvpSystem:
+    """Hamiltonian TPBVP of a moment-route reduction, state
+    (x, V_2..V_N, lam_1, lam_2..lam_N).
+
+    The terms both catalog examples share are written here,
+
+        V_p'   = (1-p) t^(p-2) x
+        lam_1' = (example terms) - sum_p (1-p) t^(p-2) lam_p,
+
+    and ``fill(t, F, g, coeffs, p)`` adds the rest, with p = [2..N] as a
+    float array.  Conditions: x(0) = 0, V_p(0) = 0, x(1) = x_right,
+    lam_p(1) = 0.  Since V_p behaves like t^(p-1) and lam_p like t^(1-p),
+    the solver runs in t^(1-p) V_p and t^(p-1) lam_p.
+    """
+    if N < 2:
+        raise ValueError(f"need N >= 2, got {N}")
+    coeffs = moment_coeffs(alpha, N)
+    m = 2 * N
+    p = np.arange(2.0, N + 1.0)
+    v = np.arange(1, N)
+
+    def coefficients(t):
+        t = np.asarray(t, dtype=float)
+        F = np.zeros((t.size, m, m))
+        g = np.zeros((t.size, m))
+        tp = t[:, None] ** (p - 2.0)
+        F[:, v, 0] = (1.0 - p) * tp
+        F[:, N, N + v] = (p - 1.0) * tp
+        fill(t, F, g, coeffs, p)
+        return F, g
+
+    left = [(0, 0.0)] + [(i, 0.0) for i in v]
+    right = [(0, x_right)] + [(N + i, 0.0) for i in v]
+    powers = (0.0, *(p - 1.0), 0.0, *(1.0 - p))
+    return TpBvpSystem(
+        m, _rhs_from(coefficients), tuple(left), tuple(right), coefficients, powers
+    )
 
 
 def assemble_tpbvp_example2(alpha: float, N: int) -> TpBvpSystem:
@@ -218,29 +303,14 @@ def assemble_tpbvp_example2(alpha: float, N: int) -> TpBvpSystem:
     right (lam_1 is pinned only through the coupling).  The costate rows are
     singular at t = 0; solve on [eps, 1].
     """
-    if N < 2:
-        raise ValueError(f"need N >= 2, got {N}")
-    coeffs = moment_coeffs(alpha, N)
-    A, B = coeffs.A, coeffs.B
-    C = [coeffs.c(p) for p in range(2, N + 1)]
-    m = 2 * N
 
-    def rhs(t, y):
-        y = np.asarray(y, dtype=float)
-        dy = np.empty(m)
-        dy[0] = 0.5 * B * t ** (1.0 - alpha) - 0.5 * y[N]
-        for p in range(2, N + 1):
-            dy[p - 1] = (1.0 - p) * t ** (p - 2.0) * y[0]
-        dy[N] = A * t ** (-alpha) - sum(
-            (1.0 - p) * t ** (p - 2.0) * y[N + p - 1] for p in range(2, N + 1)
-        )
-        for p in range(2, N + 1):
-            dy[N + p - 1] = -C[p - 2] * t ** (1.0 - p - alpha)
-        return dy
+    def fill(t, F, g, coeffs, p):
+        F[:, 0, N] = -0.5
+        g[:, 0] = 0.5 * coeffs.B * t ** (1.0 - alpha)
+        g[:, N] = coeffs.A * t ** (-alpha)
+        g[:, N + 1 :] = -coeffs.C * t[:, None] ** (1.0 - p - alpha)
 
-    left = [(0, 0.0)] + [(p - 1, 0.0) for p in range(2, N + 1)]
-    right = [(0, 1.0)] + [(N + p - 1, 0.0) for p in range(2, N + 1)]
-    return TpBvpSystem(m, rhs, tuple(left), tuple(right))
+    return _moment_tpbvp(alpha, N, fill, 1.0)
 
 
 def assemble_tpbvp_example4(alpha: float, N: int) -> TpBvpSystem:
@@ -258,40 +328,24 @@ def assemble_tpbvp_example4(alpha: float, N: int) -> TpBvpSystem:
     with x(0) = 0, V_p(0) = 0 and x(1) = 1/Gamma(alpha+1), lam_p(1) = 0.
     The rhs is singular at t = 0; solve on [eps, 1].
     """
-    if N < 2:
-        raise ValueError(f"need N >= 2, got {N}")
-    coeffs = moment_coeffs(alpha, N)
-    A, B = coeffs.A, coeffs.B
-    C = [coeffs.c(p) for p in range(2, N + 1)]
-    m = 2 * N
 
-    def rhs(t, y):
-        y = np.asarray(y, dtype=float)
-        dy = np.empty(m)
-        dy[0] = (
-            -A / B / t * y[0]
-            + sum(C[p - 2] / B * t ** (-float(p)) * y[p - 1] for p in range(2, N + 1))
-            + 0.5 / B**2 * t ** (2.0 * alpha - 2.0) * y[N]
-            + t ** (alpha - 1.0) / B
-        )
-        for p in range(2, N + 1):
-            dy[p - 1] = (1.0 - p) * t ** (p - 2.0) * y[0]
-        dy[N] = A / B / t * y[N] - sum(
-            (1.0 - p) * t ** (p - 2.0) * y[N + p - 1] for p in range(2, N + 1)
-        )
-        for p in range(2, N + 1):
-            dy[N + p - 1] = -C[p - 2] / B * t ** (-float(p)) * y[N]
-        return dy
+    def fill(t, F, g, coeffs, p):
+        A, B = coeffs.A, coeffs.B
+        cp = coeffs.C / B * t[:, None] ** (-p)
+        F[:, 0, 0] = -A / B / t
+        F[:, 0, 1:N] = cp
+        F[:, 0, N] = 0.5 / B**2 * t ** (2.0 * alpha - 2.0)
+        g[:, 0] = t ** (alpha - 1.0) / B
+        F[:, N, N] = A / B / t
+        F[:, N + 1 :, N] = -cp
 
-    left = [(0, 0.0)] + [(p - 1, 0.0) for p in range(2, N + 1)]
-    right = [(0, 1.0 / gamma(alpha + 1.0))] + [(N + p - 1, 0.0) for p in range(2, N + 1)]
-    return TpBvpSystem(m, rhs, tuple(left), tuple(right))
+    return _moment_tpbvp(alpha, N, fill, 1.0 / gamma(alpha + 1.0))
 
 
 def solve_linear_tpbvp(
     system: TpBvpSystem, mesh: Mesh, eps: float = 0.0, grading: float = 2.0
 ) -> list[SampledCurve]:
-    """Solve a linear TPBVP by midpoint (box) collocation; one banded solve.
+    """Solve a linear TPBVP by midpoint (box) collocation; one banded LU.
 
     The scheme runs on mesh.n subintervals of [a + eps, b] (eps > 0 keeps a
     singular origin out of the stencil).  Cell widths are power-graded
@@ -301,17 +355,32 @@ def solve_linear_tpbvp(
     while quadratic grading does, at no change to the scheme itself.
     The scheme is second-order accurate in the cell widths.
 
-    Right-condition rows act at b; left-condition rows pin the linear
-    extension of the first collocation segment back to t = a (for eps = 0
-    this is the plain nodal condition), which keeps the eps-truncation error
-    at the interpolation level instead of introducing an O(eps) offset.
-    Returned curves live on the caller's mesh: nodes inside [a + eps, b] by
-    linear interpolation of the collocation values, nodes below a + eps by
-    the same linear extension the boundary rows constrain.
+    It collocates the scaled state z = t^(-k) y of ``system.scale_powers``
+    (k = 0 when empty),
+
+        z' = (S^-1 F S - diag(k/t)) z + S^-1 g,    S = diag(t^k),
+
+    at the cell midpoints, with F and g from ``system.coefficients`` (or,
+    without it, from probing ``rhs`` once per basis vector and midpoint).
+    The box scheme is written straight into LAPACK band storage (rows: left
+    conditions, cell rows, right conditions) and factored and solved in
+    place by ``dgbtrf``/``dgbtrs``.  Curves are mapped back by y = s^k z at
+    the collocation nodes s.
+
+    Right-condition rows act at b (on z, so values are divided by b^k);
+    left-condition rows pin the linear extension of the first collocation
+    segment back to t = a (for eps = 0 this is the plain nodal condition),
+    which keeps the eps-truncation error at the interpolation level instead
+    of introducing an O(eps) offset.  Returned curves live on the caller's
+    mesh: nodes inside [a + eps, b] by linear interpolation of the
+    collocation values, nodes below a + eps by the same linear extension
+    the boundary rows constrain.
 
     Raises :class:`NonAffineSystemError` when probing shows the rhs is not
-    affine in the state, and :class:`SingularSystemError` when the
-    collocation matrix cannot be factorized.
+    affine in the state, :class:`SingularSystemError` when the collocation
+    matrix cannot be factorized, and :class:`IllConditionedSystemError` when
+    one step of iterative refinement would change the solution by more than
+    REFINEMENT_RTOL relative (the correction is not applied).
     """
     if eps < 0.0 or eps >= mesh.b - mesh.a:
         raise ValueError(f"eps must lie in [0, b-a), got {eps!r}")
@@ -320,61 +389,109 @@ def solve_linear_tpbvp(
     m = system.dimension
     n = mesh.n
     a_eff = mesh.a + eps
+    k = np.array(system.scale_powers or (0.0,) * m)
+    if np.any(k != 0.0) and a_eff <= 0.0:
+        raise ValueError(f"scaled components need a + eps > 0, got {a_eff!r}")
     s = a_eff + (mesh.b - a_eff) * (np.arange(n + 1) / n) ** grading
     mids = 0.5 * (s[:-1] + s[1:])
+    h = np.diff(s)
 
-    _check_affine(system, (mids[0], mids[n // 2], mids[-1]))
+    F, g = _tpbvp_coefficients(system, mids)
+    scale = mids[:, None] ** k
+    # cell j couples (z_j, z_{j+1}): [-I/h - A/2 | I/h - A/2] z = S^-1 g with
+    # A = S^-1 F S - diag(k/t); built in one buffer to keep peak memory low
+    blocks = np.empty((n, m, 2 * m))
+    half = blocks[:, :, :m]
+    np.multiply(F, -0.5 * scale[:, None, :], out=half)
+    del F
+    half /= scale[:, :, None]
+    diag_m = np.arange(m)
+    half[:, diag_m, diag_m] += 0.5 * k / mids[:, None]
+    blocks[:, :, m:] = half
+    blocks[:, diag_m, diag_m] -= 1.0 / h[:, None]
+    blocks[:, diag_m, m + diag_m] += 1.0 / h[:, None]
 
-    size = m * (n + 1)
-    mat = lil_matrix((size, size))
-    rhs_vec = np.zeros(size)
-    eye = np.eye(m)
-    for j in range(n):
-        tm = mids[j]
-        hj = s[j + 1] - s[j]
-        g = np.asarray(system.rhs(tm, np.zeros(m)), dtype=float)
-        F = np.empty((m, m))
-        for c in range(m):
-            F[:, c] = np.asarray(system.rhs(tm, eye[c]), dtype=float) - g
-        rows = slice(j * m, (j + 1) * m)
-        block_l = -eye / hj - 0.5 * F
-        block_r = eye / hj - 0.5 * F
-        mat[rows, j * m : (j + 1) * m] = block_l
-        mat[rows, (j + 1) * m : (j + 2) * m] = block_r
-        rhs_vec[rows] = g
-    row = n * m
+    left_idx = np.array([i for i, _ in system.left_conditions], dtype=int)
+    right_idx = np.array([i for i, _ in system.right_conditions], dtype=int)
+    n_left = left_idx.size
     d0 = s[0] - mesh.a
-    h0 = s[1] - s[0]
-    for idx, val in system.left_conditions:
-        # linear extension to t = a: (1 + d0/h0) y_0 - (d0/h0) y_1 = val
-        mat[row, idx] = 1.0 + d0 / h0
-        mat[row, m + idx] = -d0 / h0
-        rhs_vec[row] = val
-        row += 1
-    for idx, val in system.right_conditions:
-        mat[row, n * m + idx] = 1.0
-        rhs_vec[row] = val
-        row += 1
+    # linear extension to t = a: (1 + d0/h0) z_0 - (d0/h0) z_1 = val
+    w0, w1 = 1.0 + d0 / h[0], -d0 / h[0]
+    b_vec = np.empty(m * (n + 1))
+    b_vec[:n_left] = [val for _, val in system.left_conditions]
+    b_vec[n_left : n_left + n * m] = (g / scale).ravel()
+    b_vec[n_left + n * m :] = [
+        val / s[-1] ** k[i] for i, val in system.right_conditions
+    ]
 
-    try:
-        lu = splu(mat.tocsc())
-        sol = lu.solve(rhs_vec)
-    except RuntimeError as exc:
-        raise SingularSystemError(f"collocation matrix singular: {exc}") from exc
-    if not np.all(np.isfinite(sol)):
+    rows_l = np.arange(n_left)
+    rows_r = n_left + n * m + np.arange(right_idx.size)
+    cols_r = n * m + right_idx
+    cell_i, cell_c = np.indices((m, 2 * m))
+    offsets = np.concatenate(
+        ((cell_c - cell_i - n_left).ravel(), left_idx - rows_l,
+         m + left_idx - rows_l, cols_r - rows_r)
+    )
+    kl, ku = max(0, -int(offsets.min())), max(0, int(offsets.max()))
+    diag = kl + ku
+    ab = np.zeros((2 * kl + ku + 1, m * (n + 1)), order="F")
+    cell_cols = m * np.arange(n)[:, None, None] + cell_c[None]
+    ab[diag + n_left + cell_i - cell_c, cell_cols] = blocks
+    ab[diag + rows_l - left_idx, left_idx] = w0
+    ab[diag + rows_l - m - left_idx, m + left_idx] = w1
+    ab[diag + rows_r - cols_r, cols_r] = 1.0
+
+    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+    if info != 0:
+        raise SingularSystemError(f"collocation matrix singular (dgbtrf info {info})")
+    z, _ = dgbtrs(lu, kl, ku, b_vec.copy(), piv, overwrite_b=1)
+    if not np.all(np.isfinite(z)):
         raise SingularSystemError("collocation solve produced non-finite values")
-    Y = sol.reshape(n + 1, m)
+
+    # one step of iterative refinement, used only as an accuracy estimate;
+    # the right-hand side is not needed again, so it becomes the residual
+    resid = b_vec
+    pairs = sliding_window_view(z, 2 * m)[::m]
+    resid[n_left : n_left + n * m] -= np.einsum("jic,jc->ji", blocks, pairs).ravel()
+    resid[:n_left] -= w0 * z[left_idx] + w1 * z[m + left_idx]
+    resid[n_left + n * m :] -= z[cols_r]
+    dz, _ = dgbtrs(lu, kl, ku, resid, piv, overwrite_b=1)
+    change, size = np.max(np.abs(dz)), np.max(np.abs(z))
+    if not change <= REFINEMENT_RTOL * size:
+        raise IllConditionedSystemError(
+            f"collocation solve unreliable: refinement step {change:.3g} "
+            f"against solution size {size:.3g}"
+        )
+    Y = z.reshape(n + 1, m) * s[:, None] ** k
 
     t_out = mesh.nodes()
+    below = t_out < a_eff
     curves = []
-    for c in range(m):
-        vals = np.interp(t_out, s, Y[:, c])
-        below = t_out < a_eff
+    for col in Y.T:
+        vals = np.interp(t_out, s, col)
         if np.any(below):
-            slope = (Y[1, c] - Y[0, c]) / h0
-            vals[below] = Y[0, c] + slope * (t_out[below] - a_eff)
+            slope = (col[1] - col[0]) / h[0]
+            vals[below] = col[0] + slope * (t_out[below] - a_eff)
         curves.append(SampledCurve(mesh, vals))
     return curves
+
+
+def _tpbvp_coefficients(system: TpBvpSystem, t: np.ndarray) -> tuple:
+    """(F, g) of y' = F y + g at the times t, shapes (len(t), m, m), (len(t), m)."""
+    m = system.dimension
+    if system.coefficients is not None:
+        F, g = system.coefficients(t)
+        F, g = np.asarray(F, dtype=float), np.asarray(g, dtype=float)
+        if F.shape != (t.size, m, m) or g.shape != (t.size, m):
+            raise ValueError(
+                f"coefficients returned shapes {F.shape}, {g.shape}; "
+                f"expected {(t.size, m, m)}, {(t.size, m)}"
+            )
+        return F, g
+    _check_affine(system, (t[0], t[t.size // 2], t[-1]))
+    g = np.array([system.rhs(tm, np.zeros(m)) for tm in t], dtype=float)
+    probes = np.array([[system.rhs(tm, e) for e in np.eye(m)] for tm in t], dtype=float)
+    return probes.transpose(0, 2, 1) - g[:, :, None], g
 
 
 def _check_affine(system: TpBvpSystem, ts: Sequence[float]) -> None:

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 
+from fracvar import indirect
 from fracvar.cli import main
 
 
@@ -247,3 +249,20 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_indirect_ill_conditioned_is_a_failure_record(tmp_path, capsys, monkeypatch):
+    assemble = indirect.assemble_tpbvp_example4
+    monkeypatch.setattr(
+        indirect,
+        "assemble_tpbvp_example4",
+        lambda alpha, N: dataclasses.replace(assemble(alpha, N), scale_powers=()),
+    )
+    out = tmp_path / "ind4.csv"
+    code = run(["indirect", "--example", "ex4-moment", "--N", "2", "12",
+                "--n", "200", "--out", str(out)])
+    assert code == 2
+    failures = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert [f["run"] for f in failures] == ["ex4-moment:N=12"]
+    _, rows = read_csv(out)
+    assert {int(r[0]) for r in rows} == {2}

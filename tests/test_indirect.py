@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from fracvar.expansions import DerivativeBundle, moment_coeffs, moments_vp
 from fracvar.indirect import (
     HigherOrderLagrangian,
+    IllConditionedSystemError,
     NonAffineSystemError,
     TpBvpSystem,
     analytic_solution_example2,
@@ -293,6 +295,255 @@ def test_solver_returns_all_components_on_caller_mesh():
     assert abs(curves[0].values[-1] - 1.0) <= 1e-10
     for p in range(2, N + 1):
         assert abs(curves[N + p - 1].values[-1]) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# affine coefficients, scaled collocation and the band LU
+# ---------------------------------------------------------------------------
+
+
+def loop_rhs_example2(alpha, N):
+    """Scalar right-hand side of Example 2's moment TPBVP, one row at a time."""
+    mc = moment_coeffs(alpha, N)
+    A, B = mc.A, mc.B
+    C = [mc.c(p) for p in range(2, N + 1)]
+
+    def rhs(t, y):
+        dy = np.empty(2 * N)
+        dy[0] = 0.5 * B * t ** (1.0 - alpha) - 0.5 * y[N]
+        for p in range(2, N + 1):
+            dy[p - 1] = (1.0 - p) * t ** (p - 2.0) * y[0]
+        dy[N] = A * t ** (-alpha) - sum(
+            (1.0 - p) * t ** (p - 2.0) * y[N + p - 1] for p in range(2, N + 1)
+        )
+        for p in range(2, N + 1):
+            dy[N + p - 1] = -C[p - 2] * t ** (1.0 - p - alpha)
+        return dy
+
+    return rhs
+
+
+def loop_rhs_example4(alpha, N):
+    """Scalar right-hand side of Example 4's moment TPBVP, one row at a time."""
+    mc = moment_coeffs(alpha, N)
+    A, B = mc.A, mc.B
+    C = [mc.c(p) for p in range(2, N + 1)]
+
+    def rhs(t, y):
+        dy = np.empty(2 * N)
+        dy[0] = (
+            -A / B / t * y[0]
+            + sum(C[p - 2] / B * t ** (-float(p)) * y[p - 1] for p in range(2, N + 1))
+            + 0.5 / B**2 * t ** (2.0 * alpha - 2.0) * y[N]
+            + t ** (alpha - 1.0) / B
+        )
+        for p in range(2, N + 1):
+            dy[p - 1] = (1.0 - p) * t ** (p - 2.0) * y[0]
+        dy[N] = A / B / t * y[N] - sum(
+            (1.0 - p) * t ** (p - 2.0) * y[N + p - 1] for p in range(2, N + 1)
+        )
+        for p in range(2, N + 1):
+            dy[N + p - 1] = -C[p - 2] / B * t ** (-float(p)) * y[N]
+        return dy
+
+    return rhs
+
+
+def dense_tpbvp_oracle(system, mesh, eps=0.0, grading=2.0):
+    """The scaled box scheme as one dense matrix (cell rows first, then the
+    left and right condition rows), solved by np.linalg.solve and mapped
+    back to the caller's mesh like ``solve_linear_tpbvp``."""
+    m, n = system.dimension, mesh.n
+    k = np.array(system.scale_powers or (0.0,) * m)
+    a_eff = mesh.a + eps
+    s = a_eff + (mesh.b - a_eff) * (np.arange(n + 1) / n) ** grading
+    mat = np.zeros((m * (n + 1), m * (n + 1)))
+    vec = np.zeros(m * (n + 1))
+    eye = np.eye(m)
+    for j in range(n):
+        tm, hj = 0.5 * (s[j] + s[j + 1]), s[j + 1] - s[j]
+        if system.coefficients is not None:
+            F, g = (c[0] for c in system.coefficients(np.array([tm])))
+        else:
+            g = np.asarray(system.rhs(tm, np.zeros(m)), dtype=float)
+            F = np.column_stack([system.rhs(tm, e) - g for e in eye])
+        S = np.diag(tm**k)
+        A = np.linalg.solve(S, F @ S) - np.diag(k / tm)
+        rows = slice(j * m, (j + 1) * m)
+        mat[rows, j * m : (j + 1) * m] = -eye / hj - 0.5 * A
+        mat[rows, (j + 1) * m : (j + 2) * m] = eye / hj - 0.5 * A
+        vec[rows] = g / tm**k
+    row = n * m
+    d0, h0 = s[0] - mesh.a, s[1] - s[0]
+    for idx, val in system.left_conditions:
+        mat[row, idx] = 1.0 + d0 / h0
+        mat[row, m + idx] = -d0 / h0
+        vec[row] = val
+        row += 1
+    for idx, val in system.right_conditions:
+        mat[row, n * m + idx] = 1.0
+        vec[row] = val / s[-1] ** k[idx]
+        row += 1
+    Y = np.linalg.solve(mat, vec).reshape(n + 1, m) * s[:, None] ** k
+    t = mesh.nodes()
+    out = []
+    for col in Y.T:
+        vals = np.interp(t, s, col)
+        below = t < a_eff
+        vals[below] = col[0] + (col[1] - col[0]) / h0 * (t[below] - a_eff)
+        out.append(vals)
+    return out
+
+
+@pytest.mark.parametrize(
+    "assemble, loop_rhs",
+    [(assemble_tpbvp_example2, loop_rhs_example2), (assemble_tpbvp_example4, loop_rhs_example4)],
+)
+@pytest.mark.parametrize("N", [2, 3, 8])
+def test_coefficients_match_rhs(assemble, loop_rhs, N):
+    system = assemble(ALPHA, N)
+    rng = np.random.default_rng(N)
+    t = rng.uniform(1e-4, 1.0, 25)
+    F, g = system.coefficients(t)
+    assert F.shape == (25, 2 * N, 2 * N) and g.shape == (25, 2 * N)
+    oracle = loop_rhs(ALPHA, N)
+    for i, ti in enumerate(t):
+        y = rng.standard_normal(2 * N)
+        batch = F[i] @ y + g[i]
+        bound = 1e-13 * (np.abs(F[i]) @ np.abs(y) + np.abs(g[i]))
+        assert np.all(np.abs(system.rhs(ti, y) - batch) <= bound)
+        assert np.all(np.abs(oracle(ti, y) - batch) <= bound)
+
+
+def test_catalog_scale_powers():
+    N = 4
+    system = assemble_tpbvp_example4(ALPHA, N)
+    assert system.scale_powers == (0.0, 1.0, 2.0, 3.0, 0.0, -1.0, -2.0, -3.0)
+    assert assemble_tpbvp_example2(ALPHA, N).scale_powers == system.scale_powers
+
+
+@pytest.mark.parametrize(
+    "system, mesh, eps",
+    [
+        (assemble_tpbvp_example4(ALPHA, 2), Mesh(0.0, 1.0, 1), 1e-4),
+        (assemble_tpbvp_example4(ALPHA, 4), Mesh(0.0, 1.0, 100), 1e-4),
+        (assemble_tpbvp_example4(0.2, 8), Mesh(0.0, 1.0, 60), 1e-3),
+        (assemble_tpbvp_example2(ALPHA, 3), Mesh(0.0, 1.0, 7), 1e-4),
+        (TpBvpSystem(1, lambda t, y: np.array([y[0]]), ((0, 1.0),), ()), Mesh(0.0, 1.0, 50), 0.0),
+        (
+            TpBvpSystem(
+                2,
+                lambda t, y: np.array([y[1] / t, -y[0] / t + t]),
+                ((0, 0.0),),
+                ((1, 2.0),),
+                scale_powers=(1.0, -0.5),
+            ),
+            Mesh(0.5, 2.0, 40),
+            0.1,
+        ),
+    ],
+)
+def test_band_lu_matches_dense_oracle(system, mesh, eps):
+    # normwise in the scaled variables t^(-k) y, where the LU works: a
+    # costate component far below the others agrees only to its share
+    curves = solve_linear_tpbvp(system, mesh, eps=eps)
+    oracle = dense_tpbvp_oracle(system, mesh, eps=eps)
+    t = mesh.nodes()
+    inside = t >= mesh.a + eps
+    powers = system.scale_powers or (0.0,) * system.dimension
+    diff = size = 0.0
+    for curve, ref, k in zip(curves, oracle, powers):
+        scale = t[inside] ** k
+        diff = max(diff, np.max(np.abs(curve.values - ref)[inside] / scale))
+        size = max(size, np.max(np.abs(ref[inside]) / scale))
+    assert diff <= 1e-10 * size
+
+
+def test_scaled_example4_error_falls_with_N_on_both_meshes():
+    Ns = (2, 4, 6, 8, 12, 16)
+    errs = {}
+    for n in (400, 1200):
+        mesh = Mesh(0.0, 1.0, n)
+        exact = lambda t: exact_solution_example4(ALPHA, t)  # noqa: E731
+        errs[n] = [
+            l2_against(
+                mesh,
+                solve_linear_tpbvp(assemble_tpbvp_example4(ALPHA, N), mesh, eps=1e-4)[0].values,
+                exact,
+            )
+            for N in Ns
+        ]
+        assert all(e1 > e2 for e1, e2 in zip(errs[n], errs[n][1:]))
+    for e400, e1200 in zip(errs[400], errs[1200]):
+        assert abs(e400 - e1200) <= 0.05 * e1200
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_scaled_example2_matches_closed_form(N):
+    mesh = Mesh(0.0, 1.0, 400)
+    curves = solve_linear_tpbvp(assemble_tpbvp_example2(ALPHA, N), mesh, eps=1e-4)
+    x = solve_example2_moment_closed(ALPHA, N)
+    assert np.max(np.abs(curves[0].values - x(mesh.nodes()))) <= 1e-5
+
+
+def test_unscaled_example4_raises_ill_conditioned():
+    system = dataclasses.replace(assemble_tpbvp_example4(ALPHA, 12), scale_powers=())
+    with pytest.raises(IllConditionedSystemError):
+        solve_linear_tpbvp(system, Mesh(0.0, 1.0, 400), eps=1e-4)
+
+
+def test_replacing_rhs_keeps_coefficients():
+    system = assemble_tpbvp_example4(ALPHA, 3)
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return system.rhs(t, y)
+
+    wrapped = dataclasses.replace(system, rhs=counted)
+    assert wrapped.coefficients is system.coefficients
+    assert wrapped.scale_powers == system.scale_powers
+    mesh = Mesh(0.0, 1.0, 80)
+    got = solve_linear_tpbvp(wrapped, mesh, eps=1e-4)
+    ref = solve_linear_tpbvp(system, mesh, eps=1e-4)
+    assert calls == []
+    for a, b in zip(got, ref):
+        assert np.array_equal(a.values, b.values)
+    np.testing.assert_allclose(wrapped.rhs(0.3, np.ones(6)), system.rhs(0.3, np.ones(6)))
+
+
+def test_right_condition_on_scaled_component_divides_by_b_power():
+    # y' = y/t, y(2) = 4 has the solution y = 2t; in z = y/t it is z = 2
+    system = TpBvpSystem(1, lambda t, y: np.array([y[0] / t]), (), ((0, 4.0),), scale_powers=(1.0,))
+    mesh = Mesh(0.5, 2.0, 8)
+    curve = solve_linear_tpbvp(system, mesh)[0]
+    assert np.max(np.abs(curve.values - 2.0 * mesh.nodes())) <= 1e-12
+
+
+def test_scale_power_validation():
+    rhs = lambda t, y: np.asarray(y)  # noqa: E731
+    with pytest.raises(ValueError):
+        TpBvpSystem(2, rhs, ((0, 0.0),), ((1, 0.0),), scale_powers=(1.0,))
+    with pytest.raises(ValueError):
+        TpBvpSystem(2, rhs, ((0, 1.0),), ((1, 0.0),), scale_powers=(1.0, 0.0))
+    TpBvpSystem(2, rhs, ((0, 1.0),), ((1, 0.0),), scale_powers=(0.0, 2.0))
+    scaled = TpBvpSystem(2, rhs, ((0, 0.0),), ((1, 0.0),), scale_powers=(1.0, 0.0))
+    with pytest.raises(ValueError):
+        solve_linear_tpbvp(scaled, Mesh(0.0, 1.0, 10))
+    unscaled = TpBvpSystem(2, rhs, ((0, 0.0),), ((1, 0.0),), scale_powers=(0.0, 0.0))
+    solve_linear_tpbvp(unscaled, Mesh(0.0, 1.0, 10))
+
+
+def test_coefficients_with_wrong_shape_rejected():
+    system = TpBvpSystem(
+        1,
+        lambda t, y: np.asarray(y),
+        ((0, 1.0),),
+        (),
+        coefficients=lambda t: (np.ones((t.size, 1)), np.zeros(t.size)),
+    )
+    with pytest.raises(ValueError):
+        solve_linear_tpbvp(system, Mesh(0.0, 1.0, 10))
 
 
 # ---------------------------------------------------------------------------
