@@ -61,6 +61,8 @@ from .expansions import (
     hadamard_expand_moment,
     hadamard_expand_moment_right,
     moment_coeffs,
+    moment_expansion,
+    moment_values,
     moments_vp,
 )
 from .direct import (

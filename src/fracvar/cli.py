@@ -23,6 +23,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import sys
 from typing import Optional
 
@@ -85,20 +86,17 @@ def _single_alpha(alphas) -> float:
     return alpha
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 def _write_csv(path: str, header, rows) -> None:
+    """Write the header and the row tuples.  Each column gets one format,
+    chosen once from the dtype numpy gives the whole column: booleans as 1/0
+    and integers in full (``%d``), anything else as a float with 17
+    significant digits (``%.17g``, which spells an integer in a float column
+    the same way up to 2**53)."""
+    kinds = [np.asarray(column).dtype.kind for column in zip(*rows)]
+    line = ",".join("%d" if kind in "biu" else "%.17g" for kind in kinds) + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def _floats(text: str):
@@ -168,6 +166,39 @@ def _eval_grid(a: float, b: float, points: int) -> np.ndarray:
     return np.linspace(a, b, points + 1)[1:]  # expansions are singular at a
 
 
+def _moment_sweep(func, method, exact, alpha, a, grid, Ns, quad_n):
+    """Moment-route approximations at each grid point for each N of a sweep.
+
+    x(t), x'(t), the moments at max(Ns) and exact(t) are computed once per
+    point and shared; each N evaluates the expansion formula on the moment
+    prefix it uses (the Hadamard expansion has the RL coefficients).  Yields
+    (N, [(t, approx, exact), ...], error) in sweep order, where error is the
+    numerical failure at the first point that could not be evaluated (the
+    points list stops there), or None.
+    """
+    hadamard = method in ("hadamard-moment", "hadamard")
+    N_max = max(Ns)
+    shared, error = [], None
+    for t in grid:
+        try:
+            moments = expansions.moment_values(func.x, N_max, t, a, quad_n, hadamard=hadamard)
+            if hadamard:
+                s, xs = math.log(t / a), t * float(func.xdot(t))
+            else:
+                s, xs = t - a, None if method == "atanackovic" else float(func.xdot(t))
+            shared.append((t, s, float(func.x(t)), xs, moments, exact(t)))
+        except NUMERICAL_ERRORS as exc:
+            error = exc
+            break
+    for N in Ns:
+        coeffs = expansions.moment_coeffs(alpha, N)
+        points = [
+            (t, expansions.moment_expansion(coeffs, s, x_t, xs, moments), ex)
+            for t, s, x_t, xs, moments, ex in shared
+        ]
+        yield N, points, error
+
+
 def cmd_derivative(opts: _Options) -> tuple:
     fname = opts.get("function", "t4")
     method = opts.get("method", "moment")
@@ -211,29 +242,20 @@ def cmd_derivative(opts: _Options) -> tuple:
         elif any(N < 1 for N in sweep):
             raise UsageError(f"method {method!r} needs N >= 1")
         grid = _eval_grid(a, b, points)
-        for N in sweep:
-            try:
-                mc = expansions.moment_coeffs(alpha, max(N, 1))
-                hc = expansions.hadamard_moment_coeffs(alpha, max(N, 1))
-                for t in grid:
-                    if method == "integer":
-                        approx = expansions.expand_integer_left(
-                            func.bundle, alpha, N, t, a
-                        )
-                    elif method == "moment":
-                        approx = expansions.expand_moment_left(
-                            func.x, func.xdot, mc, t, a, quad_n
-                        )
-                    elif method == "atanackovic":
-                        approx = expansions.expand_atanackovic(func.x, mc, t, a, quad_n)
-                    else:
-                        approx = expansions.hadamard_expand_moment(
-                            func.x, func.xdot, hc, t, a, quad_n
-                        )
-                    ex = exact(t)
-                    rows.append((N, t, ex, approx, abs(approx - ex)))
-            except NUMERICAL_ERRORS as exc:
-                failures.append({"run": f"{method}:{fname}:N={N}", "error": str(exc)})
+        if method == "integer":
+            for N in sweep:
+                try:
+                    for t in grid:
+                        approx = expansions.expand_integer_left(func.bundle, alpha, N, t, a)
+                        ex = exact(t)
+                        rows.append((N, t, ex, approx, abs(approx - ex)))
+                except NUMERICAL_ERRORS as exc:
+                    failures.append({"run": f"{method}:{fname}:N={N}", "error": str(exc)})
+        else:
+            for N, points_N, exc in _moment_sweep(func, method, exact, alpha, a, grid, sweep, quad_n):
+                rows.extend((N, t, ex, approx, abs(approx - ex)) for t, approx, ex in points_N)
+                if exc is not None:
+                    failures.append({"run": f"{method}:{fname}:N={N}", "error": str(exc)})
         header = ("N", "t", "exact", "approx", "abs_error")
     else:
         sweep = opts.get("n", [100], kind="ints")
@@ -389,30 +411,30 @@ def cmd_bounds(opts: _Options) -> tuple:
     grid = _eval_grid(a, b, points)
     rows = []
     failures = []
-    for N in Ns:
-        try:
-            mc = expansions.moment_coeffs(alpha, N)
-            hc = expansions.hadamard_moment_coeffs(alpha, N)
-            for t in grid:
-                if method == "integer":
+
+    def record(N, t, approx, ex, bound):
+        err = abs(approx - ex)
+        rows.append((N, t, err, bound, err <= bound + DOMINANCE_SLACK))
+
+    if method == "integer":
+        for N in Ns:
+            try:
+                for t in grid:
                     approx = expansions.expand_integer_left(func.bundle, alpha, N, t, a)
                     bound = expansions.bound_integer(func.integer_m(N, t), alpha, N, t, a)
-                elif method == "moment":
-                    approx = expansions.expand_moment_left(
-                        func.x, func.xdot, mc, t, a, quad_n
-                    )
+                    record(N, t, approx, exact(t), bound)
+            except NUMERICAL_ERRORS as exc:
+                failures.append({"run": f"bounds:{method}:{fname}:N={N}", "error": str(exc)})
+    else:
+        for N, points_N, exc in _moment_sweep(func, method, exact, alpha, a, grid, Ns, quad_n):
+            for t, approx, ex in points_N:
+                if method == "moment":
                     bound = expansions.bound_moment(func.moment_l2(t), alpha, N, t, a)
                 else:
-                    approx = expansions.hadamard_expand_moment(
-                        func.x, func.xdot, hc, t, a, quad_n
-                    )
-                    bound = expansions.bound_hadamard(
-                        func.hadamard_lmax(t), alpha, N, t, a
-                    )
-                err = abs(approx - exact(t))
-                rows.append((N, t, err, bound, err <= bound + DOMINANCE_SLACK))
-        except NUMERICAL_ERRORS as exc:
-            failures.append({"run": f"bounds:{method}:{fname}:N={N}", "error": str(exc)})
+                    bound = expansions.bound_hadamard(func.hadamard_lmax(t), alpha, N, t, a)
+                record(N, t, approx, ex, bound)
+            if exc is not None:
+                failures.append({"run": f"bounds:{method}:{fname}:N={N}", "error": str(exc)})
     header = ("N", "t", "abs_error", "bound", "dominated")
     return header, rows, failures
 

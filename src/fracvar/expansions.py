@@ -16,6 +16,11 @@ Hadamard derivatives of order alpha in (0, 1):
   N and must not be dropped (the B-omitted variant is provided only for
   comparison, and is documented as inferior).
 
+All moments of one function at one time come from a single quadrature pass
+(:func:`moment_values`), and every moment expansion, left or right,
+Riemann-Liouville or Hadamard, evaluates the one formula
+:func:`moment_expansion`.
+
 Truncation-error bounds for both families (and the Hadamard analogue) are
 implemented as callable dominance envelopes.
 
@@ -27,7 +32,7 @@ first interior node.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -61,29 +66,6 @@ class MomentCoeffs:
 
     def c(self, p: int) -> float:
         """C(alpha, p) for p in 2..N."""
-        if not 2 <= p <= self.N:
-            raise IndexError(f"p must lie in 2..{self.N}, got {p}")
-        return float(self.C[p - 2])
-
-
-@dataclass(frozen=True)
-class HadamardMomentCoeffs:
-    """Coefficients of the Hadamard moment expansion.
-
-    Same shape as :class:`MomentCoeffs` but with the Hadamard normalization
-    C[p] = Gamma(p+alpha-1) / (Gamma(-alpha) Gamma(1+alpha) (p-1)!) and the
-    A, B sums written with Gamma(p+alpha-1).  (Numerically these coincide
-    with the Riemann-Liouville values; they are computed independently from
-    their own formulas.)
-    """
-
-    alpha: float
-    N: int
-    A: float
-    B: float
-    C: np.ndarray
-
-    def c(self, p: int) -> float:
         if not 2 <= p <= self.N:
             raise IndexError(f"p must lie in 2..{self.N}, got {p}")
         return float(self.C[p - 2])
@@ -133,32 +115,19 @@ def moment_coeffs(alpha: float, N: int) -> MomentCoeffs:
     return MomentCoeffs(alpha, N, A, B, C)
 
 
-def hadamard_moment_coeffs(alpha: float, N: int) -> HadamardMomentCoeffs:
-    """Coefficient triple for the Hadamard moment expansion."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    g_alpha = gamma(alpha)
-    g_alpham1 = gamma(alpha - 1.0)
-    a_sum = sum(
-        math.exp(math.lgamma(p + alpha - 1.0) - math.lgamma(p)) / g_alpha
-        for p in range(2, N + 1)
-    )
-    b_sum = sum(
-        math.exp(math.lgamma(p + alpha - 1.0) - math.lgamma(p + 1.0)) / g_alpham1
-        for p in range(1, N + 1)
-    )
-    A = (1.0 + a_sum) / gamma(1.0 - alpha)
-    B = (1.0 + b_sum) / gamma(2.0 - alpha)
-    C = np.array(
-        [
-            math.exp(math.lgamma(p + alpha - 1.0) - math.lgamma(p))
-            / (gamma(-alpha) * gamma(1.0 + alpha))
-            for p in range(2, N + 1)
-        ]
-    )
-    return HadamardMomentCoeffs(alpha, N, A, B, C)
+#: The Hadamard moment expansion has the same coefficients as the RL one.
+HadamardMomentCoeffs = MomentCoeffs
+
+
+def hadamard_moment_coeffs(alpha: float, N: int) -> MomentCoeffs:
+    """Coefficient triple for the Hadamard moment expansion.
+
+    Its normalization C[p] = Gamma(p+alpha-1) / (Gamma(-alpha) Gamma(1+alpha)
+    (p-1)!) equals the RL one, since Gamma(-alpha) Gamma(1+alpha) =
+    Gamma(2-alpha) Gamma(alpha-1) (both are -pi / sin(pi alpha)), and so do
+    the A and B sums.
+    """
+    return moment_coeffs(alpha, N)
 
 
 def b_table(alphas: Sequence[float], Ns: Sequence[int]) -> np.ndarray:
@@ -260,6 +229,65 @@ def _check_order(bundle: DerivativeBundle, N: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+def moment_values(
+    x: Callable,
+    N: int,
+    t: float,
+    terminal: float,
+    quad_n: int,
+    right: bool = False,
+    hadamard: bool = False,
+) -> np.ndarray:
+    """All moments of orders p = 2..N of x at t, from one quadrature pass.
+
+    ``values[p - 2]`` is the order-p moment
+
+        (1-p) * integral (tau - a)^(p-2) x(tau) dtau      over [a, t]  (left)
+        (1-p) * integral (b - tau)^(p-2) x(tau) dtau      over [t, b]  (right=True)
+
+    with ``terminal`` the a or b; ``hadamard=True`` takes the base ln(tau/a)
+    or ln(b/tau) instead and the weight 1/tau.  x is evaluated once on the
+    composite-trapezoid grid of ``quad_n`` panels; each order then costs one
+    multiplication by the base and one sum, so an order's value does not
+    depend on N.  The moments vanish exactly at the terminal; N < 2 gives no
+    moments and evaluates nothing.
+    """
+    if N < 2:
+        return np.zeros(0)
+    if quad_n < 1:
+        raise ValueError(f"quad_n must be >= 1, got {quad_n}")
+    lo, hi = (t, terminal) if right else (terminal, t)
+    if hadamard and lo <= 0.0:
+        raise ValueError(f"Hadamard moments need a positive interval, got [{lo}, {hi}]")
+    if t == terminal:
+        return np.zeros(N - 1)
+    if lo > hi:
+        side = "t <= b" if right else "t >= a"
+        raise ValueError(f"need {side}, got t={t}, terminal={terminal}")
+    grid = np.linspace(lo, hi, quad_n + 1)
+    w = np.array(_eval_on(x, grid), dtype=float)  # a copy: scaled in place below
+    if hadamard:
+        w /= grid
+        base = np.log(hi / grid) if right else np.log(grid / lo)
+    else:
+        base = hi - grid if right else grid - lo
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    step = (hi - lo) / quad_n
+    values = np.empty(N - 1)
+    for p in range(2, N + 1):
+        values[p - 2] = (1 - p) * step * w.sum()
+        w *= base
+    return values
+
+
+def _moment(x: Callable, p: int, t: float, terminal: float, quad_n: int, **kind) -> float:
+    """The order-p entry of :func:`moment_values`."""
+    if p < 2:
+        raise ValueError(f"moment order p must be >= 2, got {p}")
+    return float(moment_values(x, p, t, terminal, quad_n, **kind)[-1])
+
+
 def moments_vp(
     x: Callable, p: int, t: float, a: float, quad_n: int
 ) -> float:
@@ -267,75 +295,35 @@ def moments_vp(
 
     Composite trapezoid with ``quad_n`` panels; V_p(a) = 0 exactly.
     """
-    _check_moment_args(p, quad_n)
-    if t == a:
-        return 0.0
-    if t < a:
-        raise ValueError(f"need t >= a, got t={t}, a={a}")
-    grid = np.linspace(a, t, quad_n + 1)
-    integrand = (grid - a) ** (p - 2) * _eval_on(x, grid)
-    return float((1 - p) * np.trapezoid(integrand, dx=(t - a) / quad_n))
+    return _moment(x, p, t, a, quad_n)
 
 
 def moments_wp(
     x: Callable, p: int, t: float, b: float, quad_n: int
 ) -> float:
     """Right moment W_p(t) = (1-p) * integral_t^b (b-tau)^(p-2) x(tau) dtau."""
-    _check_moment_args(p, quad_n)
-    if t == b:
-        return 0.0
-    if t > b:
-        raise ValueError(f"need t <= b, got t={t}, b={b}")
-    grid = np.linspace(t, b, quad_n + 1)
-    integrand = (b - grid) ** (p - 2) * _eval_on(x, grid)
-    return float((1 - p) * np.trapezoid(integrand, dx=(b - t) / quad_n))
+    return _moment(x, p, t, b, quad_n, right=True)
 
 
 def left_moment_state(
     x: Callable, N: int, t: float, a: float, quad_n: int
 ) -> MomentState:
     """All left moments V_2..V_N of x at time t, as a :class:`MomentState`."""
-    vals = np.array([moments_vp(x, p, t, a, quad_n) for p in range(2, N + 1)])
-    return MomentState(t, vals)
+    return MomentState(t, moment_values(x, N, t, a, quad_n))
 
 
 def hadamard_moments_vp(
     x: Callable, p: int, t: float, a: float, quad_n: int
 ) -> float:
     """Logarithmic left moment (1-p) * integral_a^t (ln(tau/a))^(p-2) x(tau)/tau dtau."""
-    _check_moment_args(p, quad_n)
-    if a <= 0.0:
-        raise ValueError(f"Hadamard moments need a > 0, got a={a}")
-    if t == a:
-        return 0.0
-    if t < a:
-        raise ValueError(f"need t >= a, got t={t}, a={a}")
-    grid = np.linspace(a, t, quad_n + 1)
-    integrand = np.log(grid / a) ** (p - 2) * _eval_on(x, grid) / grid
-    return float((1 - p) * np.trapezoid(integrand, dx=(t - a) / quad_n))
+    return _moment(x, p, t, a, quad_n, hadamard=True)
 
 
 def hadamard_moments_wp(
     x: Callable, p: int, t: float, b: float, quad_n: int
 ) -> float:
     """Logarithmic right moment (1-p) * integral_t^b (ln(b/tau))^(p-2) x(tau)/tau dtau."""
-    _check_moment_args(p, quad_n)
-    if t <= 0.0:
-        raise ValueError(f"Hadamard moments need t > 0, got t={t}")
-    if t == b:
-        return 0.0
-    if t > b:
-        raise ValueError(f"need t <= b, got t={t}, b={b}")
-    grid = np.linspace(t, b, quad_n + 1)
-    integrand = np.log(b / grid) ** (p - 2) * _eval_on(x, grid) / grid
-    return float((1 - p) * np.trapezoid(integrand, dx=(b - t) / quad_n))
-
-
-def _check_moment_args(p: int, quad_n: int) -> None:
-    if p < 2:
-        raise ValueError(f"moment order p must be >= 2, got {p}")
-    if quad_n < 1:
-        raise ValueError(f"quad_n must be >= 1, got {quad_n}")
+    return _moment(x, p, t, b, quad_n, right=True, hadamard=True)
 
 
 def _eval_on(f: Callable, *arrays: np.ndarray) -> np.ndarray:
@@ -361,6 +349,36 @@ def _eval_on(f: Callable, *arrays: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def moment_expansion(
+    coeffs: MomentCoeffs,
+    s: float,
+    x_t: float,
+    xs_t: Optional[float],
+    moments: Sequence[float],
+    sign: float = 1.0,
+) -> float:
+    """The moment-expansion formula that every moment expansion evaluates:
+
+        A s^(-alpha) x + sign B s^(1-alpha) x_s
+            - sum_{p=2..N} C_p s^(1-p-alpha) V_p
+
+    with N = ``coeffs.N`` and V_p = ``moments[p - 2]``.  Entries past N - 1
+    are not used, so moments computed once at the largest N of a sweep serve
+    every smaller N.  s is t-a or b-t (Riemann-Liouville), ln(t/a) or ln(b/t)
+    (Hadamard), and must be positive; ``xs_t`` is x'(t) or t x'(t), and None
+    drops the B term; ``sign`` is +1 on the left and -1 on the right.
+    """
+    if len(moments) < coeffs.N - 1:
+        raise ValueError(f"order {coeffs.N} needs {coeffs.N - 1} moments, got {len(moments)}")
+    al = coeffs.alpha
+    out = coeffs.A * s ** (-al) * x_t
+    if xs_t is not None:
+        out += sign * coeffs.B * s ** (1.0 - al) * xs_t
+    for p, (c, v) in enumerate(zip(coeffs.C, moments), start=2):
+        out -= c * s ** (1.0 - p - al) * v
+    return float(out)
+
+
 def expand_moment_left(
     x: Callable,
     xdot: Callable,
@@ -376,14 +394,8 @@ def expand_moment_left(
     """
     if not t > a:
         raise ExpansionDomainError(f"left expansion needs t > a, got t={t}, a={a}")
-    al, N = coeffs.alpha, coeffs.N
-    dt = t - a
-    out = coeffs.A * dt ** (-al) * float(x(t)) + coeffs.B * dt ** (1.0 - al) * float(
-        xdot(t)
-    )
-    for p in range(2, N + 1):
-        out -= coeffs.c(p) * dt ** (1.0 - p - al) * moments_vp(x, p, t, a, quad_n)
-    return out
+    moments = moment_values(x, coeffs.N, t, a, quad_n)
+    return moment_expansion(coeffs, t - a, float(x(t)), float(xdot(t)), moments)
 
 
 def expand_moment_right(
@@ -401,14 +413,8 @@ def expand_moment_right(
     """
     if not t < b:
         raise ExpansionDomainError(f"right expansion needs t < b, got t={t}, b={b}")
-    al, N = coeffs.alpha, coeffs.N
-    dt = b - t
-    out = coeffs.A * dt ** (-al) * float(x(t)) - coeffs.B * dt ** (1.0 - al) * float(
-        xdot(t)
-    )
-    for p in range(2, N + 1):
-        out -= coeffs.c(p) * dt ** (1.0 - p - al) * moments_wp(x, p, t, b, quad_n)
-    return out
+    moments = moment_values(x, coeffs.N, t, b, quad_n, right=True)
+    return moment_expansion(coeffs, b - t, float(x(t)), float(xdot(t)), moments, sign=-1.0)
 
 
 def expand_caputo_left(
@@ -445,12 +451,8 @@ def expand_atanackovic(
     """
     if not t > a:
         raise ExpansionDomainError(f"left expansion needs t > a, got t={t}, a={a}")
-    al, N = coeffs.alpha, coeffs.N
-    dt = t - a
-    out = coeffs.A * dt ** (-al) * float(x(t))
-    for p in range(2, N + 1):
-        out -= coeffs.c(p) * dt ** (1.0 - p - al) * moments_vp(x, p, t, a, quad_n)
-    return out
+    moments = moment_values(x, coeffs.N, t, a, quad_n)
+    return moment_expansion(coeffs, t - a, float(x(t)), None, moments)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +485,7 @@ def hadamard_expand_integer(
 def hadamard_expand_moment(
     x: Callable,
     xdot: Callable,
-    hcoeffs: HadamardMomentCoeffs,
+    hcoeffs: MomentCoeffs,
     t: float,
     a: float,
     quad_n: int,
@@ -502,22 +504,14 @@ def hadamard_expand_moment(
         raise ValueError(f"Hadamard expansion needs a > 0, got a={a}")
     if not t > a:
         raise ExpansionDomainError(f"left expansion needs t > a, got t={t}, a={a}")
-    al, N = hcoeffs.alpha, hcoeffs.N
-    L = math.log(t / a)
-    out = hcoeffs.A * L ** (-al) * float(x(t)) + hcoeffs.B * L ** (1.0 - al) * t * float(
-        xdot(t)
-    )
-    for p in range(2, N + 1):
-        out -= hcoeffs.c(p) * L ** (1.0 - al - p) * hadamard_moments_vp(
-            x, p, t, a, quad_n
-        )
-    return out
+    moments = moment_values(x, hcoeffs.N, t, a, quad_n, hadamard=True)
+    return moment_expansion(hcoeffs, math.log(t / a), float(x(t)), t * float(xdot(t)), moments)
 
 
 def hadamard_expand_moment_right(
     x: Callable,
     xdot: Callable,
-    hcoeffs: HadamardMomentCoeffs,
+    hcoeffs: MomentCoeffs,
     t: float,
     b: float,
     quad_n: int,
@@ -533,16 +527,10 @@ def hadamard_expand_moment_right(
         raise ValueError(f"Hadamard expansion needs t > 0, got t={t}")
     if not t < b:
         raise ExpansionDomainError(f"right expansion needs t < b, got t={t}, b={b}")
-    al, N = hcoeffs.alpha, hcoeffs.N
-    L = math.log(b / t)
-    out = hcoeffs.A * L ** (-al) * float(x(t)) - hcoeffs.B * L ** (1.0 - al) * t * float(
-        xdot(t)
+    moments = moment_values(x, hcoeffs.N, t, b, quad_n, right=True, hadamard=True)
+    return moment_expansion(
+        hcoeffs, math.log(b / t), float(x(t)), t * float(xdot(t)), moments, sign=-1.0
     )
-    for p in range(2, N + 1):
-        out -= hcoeffs.c(p) * L ** (1.0 - al - p) * hadamard_moments_wp(
-            x, p, t, b, quad_n
-        )
-    return out
 
 
 def hadamard_reference(

@@ -4,9 +4,12 @@ import json
 import math
 
 import numpy as np
+import pytest
 
-from fracvar import indirect
+from fracvar import cli, expansions, indirect
+from fracvar._functions import CATALOG
 from fracvar.cli import main
+from fracvar.specfun import SeriesConvergenceError
 
 
 def run(args):
@@ -266,3 +269,152 @@ def test_indirect_ill_conditioned_is_a_failure_record(tmp_path, capsys, monkeypa
     assert [f["run"] for f in failures] == ["ex4-moment:N=12"]
     _, rows = read_csv(out)
     assert {int(r[0]) for r in rows} == {2}
+
+
+# ---------------------------------------------------------------------------
+# CSV writer: column-wise formatting against the row-wise reference
+# ---------------------------------------------------------------------------
+
+
+def fmt_cell(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def write_csv_rowwise(path, header, rows):
+    """Reference writer: every cell through its own isinstance chain."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt_cell(v) for v in row])
+
+
+def command_output(argv):
+    args = cli._build_parser().parse_args(argv)
+    return cli.COMMANDS[args.command](cli._Options(args, args.command))
+
+
+WRITER_CASES = {
+    "table-b": ["table-b"],
+    "derivative-integer": ["derivative", "--function", "exp2t", "--method", "integer",
+                           "--N", "0", "3", "--points", "15"],
+    "derivative-moment": ["derivative", "--function", "t4", "--method", "moment",
+                          "--N", "1", "4", "--points", "15", "--quad-n", "200"],
+    "derivative-atanackovic": ["derivative", "--function", "exp2t", "--method", "atanackovic",
+                               "--N", "2", "5", "--points", "15", "--quad-n", "200"],
+    "derivative-hadamard-moment": ["derivative", "--function", "exp2t", "--method",
+                                   "hadamard-moment", "--N", "2", "5", "--points", "15",
+                                   "--quad-n", "200"],
+    "derivative-gl": ["derivative", "--function", "t2", "--method", "gl", "--n", "50", "100"],
+    "derivative-diethelm": ["derivative", "--function", "exp2t", "--method", "diethelm",
+                            "--n", "50", "100"],
+    "direct-ex1": ["direct", "--example", "ex1", "--n", "5", "10"],
+    "direct-ex2": ["direct", "--example", "ex2", "--n", "5", "10"],
+    "direct-ex3": ["direct", "--example", "ex3", "--n", "10"],
+    "indirect-ex2-integer": ["indirect", "--example", "ex2-integer", "--N", "1", "2", "--n", "40"],
+    "indirect-ex2-moment": ["indirect", "--example", "ex2-moment", "--N", "2", "4", "--n", "40"],
+    "indirect-ex4-moment": ["indirect", "--example", "ex4-moment", "--N", "2", "4", "--n", "40"],
+    "bounds-integer": ["bounds", "--function", "t4", "--method", "integer", "--N", "2", "5",
+                       "--points", "10"],
+    "bounds-moment": ["bounds", "--function", "t4", "--method", "moment", "--N", "2", "5",
+                      "--points", "10", "--quad-n", "500"],
+    "bounds-hadamard": ["bounds", "--function", "exp2t", "--method", "hadamard", "--N", "2", "5",
+                        "--points", "10", "--quad-n", "500"],
+    "failing-run": ["direct", "--example", "ex3", "--n", "10", "--tol", "1e-30"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_csv_writer_matches_rowwise_reference(tmp_path, case):
+    header, rows, failures = command_output(WRITER_CASES[case])
+    assert bool(failures) == (case == "failing-run")
+    cli._write_csv(tmp_path / "columns.csv", header, rows)
+    write_csv_rowwise(tmp_path / "rows.csv", header, rows)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_csv_writer_cell_kinds(tmp_path):
+    rows = [
+        (np.int64(3), 2, np.True_, True, np.float64(0.1), 1.0 / 3.0, float("nan"), 0.0, 7),
+        (np.int64(-1), 0, np.False_, False, np.float64(-1e-300), float("inf"), -0.0, 2.5, np.True_),
+        (np.int64(12), 10**17, np.True_, True, np.float64(5e-324), -float("inf"), 1e17, 3, 1.5),
+    ]
+    header = ("a", "b", "c", "d", "e", "f", "g", "h", "i")
+    cli._write_csv(tmp_path / "columns.csv", header, rows)
+    write_csv_rowwise(tmp_path / "rows.csv", header, rows)
+    text = (tmp_path / "columns.csv").read_text()
+    assert text == (tmp_path / "rows.csv").read_text()
+    assert text.splitlines()[2] == "-1,0,0,0,-1e-300,inf,-0,2.5,1"
+
+
+# ---------------------------------------------------------------------------
+# moment route: moments shared across the N sweep
+# ---------------------------------------------------------------------------
+
+
+def _per_n_approx(method, func, alpha, N, t, quad_n):
+    if method in ("hadamard-moment", "hadamard"):
+        coeffs = expansions.hadamard_moment_coeffs(alpha, N)
+        return expansions.hadamard_expand_moment(func.x, func.xdot, coeffs, t, 1.0, quad_n)
+    coeffs = expansions.moment_coeffs(alpha, N)
+    if method == "atanackovic":
+        return expansions.expand_atanackovic(func.x, coeffs, t, 0.0, quad_n)
+    return expansions.expand_moment_left(func.x, func.xdot, coeffs, t, 0.0, quad_n)
+
+
+@pytest.mark.parametrize("method", ["moment", "atanackovic", "hadamard-moment"])
+def test_derivative_shared_moments_match_per_n_expansions(tmp_path, method):
+    out = tmp_path / "d.csv"
+    assert run(["derivative", "--function", "exp2t", "--method", method, "--alpha", "0.3",
+                "--N", "5", "1", "3", "8", "--points", "12", "--quad-n", "300",
+                "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [int(r[0]) for r in rows[::12]] == [5, 1, 3, 8]
+    func = CATALOG["exp2t"]
+    for r in rows:
+        N, t, approx = int(r[0]), float(r[1]), float(r[3])
+        ref = _per_n_approx(method, func, 0.3, N, t, 300)
+        assert abs(approx - ref) <= 1e-13 * abs(ref), (N, t)
+
+
+@pytest.mark.parametrize("method,function", [("moment", "t4"), ("hadamard", "exp2t")])
+def test_bounds_shared_moments_match_per_n_expansions(tmp_path, method, function):
+    out = tmp_path / "b.csv"
+    assert run(["bounds", "--function", function, "--method", method, "--alpha", "0.7",
+                "--N", "2", "6", "4", "--points", "8", "--quad-n", "400",
+                "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    func = CATALOG[function]
+    for r in rows:
+        N, t, err = int(r[0]), float(r[1]), float(r[2])
+        exact = func.hadamard_exact(0.7, t) if method == "hadamard" else func.rl_exact(0.7, t)
+        ref = _per_n_approx(method, func, 0.7, N, t, 400)
+        assert abs(err - abs(ref - exact)) <= 1e-13 * abs(ref), (N, t)
+
+
+def test_moment_route_failure_is_one_record_per_n(tmp_path, capsys, monkeypatch):
+    # an exact value that raises at the fourth point stops every N there:
+    # three rows per N, then one failure record per N
+    func = CATALOG["exp2t"]
+
+    def rl_exact(alpha, t):
+        if t == 0.4:
+            raise SeriesConvergenceError("no series value")
+        return func.rl_exact(alpha, t)
+
+    monkeypatch.setitem(CATALOG, "exp2t", dataclasses.replace(func, rl_exact=rl_exact))
+    out = tmp_path / "d.csv"
+    code = run(["derivative", "--function", "exp2t", "--method", "moment", "--N", "2", "4",
+                "--points", "10", "--quad-n", "100", "--out", str(out)])
+    assert code == 2
+    failures = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert [f["run"] for f in failures] == ["moment:exp2t:N=2", "moment:exp2t:N=4"]
+    assert all(f["error"] == "no series value" for f in failures)
+    _, rows = read_csv(out)
+    assert [(int(r[0]), float(r[1])) for r in rows] == [
+        (N, t) for N in (2, 4) for t in (0.1, 0.2, 0.30000000000000004)
+    ]

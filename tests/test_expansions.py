@@ -25,9 +25,12 @@ from fracvar.expansions import (
     hadamard_reference,
     left_moment_state,
     moment_coeffs,
+    moment_expansion,
+    moment_values,
     moments_vp,
     moments_wp,
 )
+from fracvar.expansions import _eval_on
 from fracvar.operators import hadamard_logpow_exact, rl_exp_exact, rl_power_exact
 from fracvar.specfun import gamma, mittag_leffler
 
@@ -92,14 +95,42 @@ def test_moment_coeffs_series_bookkeeping():
             assert abs(hi.B - b_term - lo.B) <= 1e-13 * max(1.0, abs(lo.B))
 
 
+def hadamard_normalized_coeffs(alpha, N):
+    """(A, B, C) of the Hadamard moment expansion from its own normalization:
+    C[p] = Gamma(p+alpha-1) / (Gamma(-alpha) Gamma(1+alpha) (p-1)!), and the
+    A, B sums written with Gamma(p+alpha-1)."""
+    g_alpha = gamma(alpha)
+    g_alpham1 = gamma(alpha - 1.0)
+    a_sum = sum(
+        math.exp(math.lgamma(p + alpha - 1.0) - math.lgamma(p)) / g_alpha
+        for p in range(2, N + 1)
+    )
+    b_sum = sum(
+        math.exp(math.lgamma(p + alpha - 1.0) - math.lgamma(p + 1.0)) / g_alpham1
+        for p in range(1, N + 1)
+    )
+    A = (1.0 + a_sum) / gamma(1.0 - alpha)
+    B = (1.0 + b_sum) / gamma(2.0 - alpha)
+    C = np.array(
+        [
+            math.exp(math.lgamma(p + alpha - 1.0) - math.lgamma(p))
+            / (gamma(-alpha) * gamma(1.0 + alpha))
+            for p in range(2, N + 1)
+        ]
+    )
+    return A, B, C
+
+
 def test_hadamard_coeffs_match_rl_values():
     # the two normalizations are written differently but agree numerically
     for alpha in (0.3, 0.5, 0.9):
         rl = moment_coeffs(alpha, 6)
+        A, B, C = hadamard_normalized_coeffs(alpha, 6)
+        assert A == pytest.approx(rl.A, rel=1e-12)
+        assert B == pytest.approx(rl.B, rel=1e-12)
+        assert np.allclose(C, rl.C, rtol=1e-12)
         had = hadamard_moment_coeffs(alpha, 6)
-        assert had.A == pytest.approx(rl.A, rel=1e-12)
-        assert had.B == pytest.approx(rl.B, rel=1e-12)
-        assert np.allclose(had.C, rl.C, rtol=1e-12)
+        assert (had.A, had.B) == (rl.A, rl.B) and np.array_equal(had.C, rl.C)
 
 
 def test_b_table_spot_values():
@@ -181,6 +212,125 @@ def test_expand_integer_right_mirror_power():
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
+
+
+# the per-order trapezoid quadratures, one grid and one evaluation of x per
+# order: the reference for the one-pass kernel
+
+
+def oracle_moments_vp(x, p, t, a, quad_n):
+    if t == a:
+        return 0.0
+    grid = np.linspace(a, t, quad_n + 1)
+    integrand = (grid - a) ** (p - 2) * _eval_on(x, grid)
+    return float((1 - p) * np.trapezoid(integrand, dx=(t - a) / quad_n))
+
+
+def oracle_moments_wp(x, p, t, b, quad_n):
+    if t == b:
+        return 0.0
+    grid = np.linspace(t, b, quad_n + 1)
+    integrand = (b - grid) ** (p - 2) * _eval_on(x, grid)
+    return float((1 - p) * np.trapezoid(integrand, dx=(b - t) / quad_n))
+
+
+def oracle_hadamard_moments_vp(x, p, t, a, quad_n):
+    if t == a:
+        return 0.0
+    grid = np.linspace(a, t, quad_n + 1)
+    integrand = np.log(grid / a) ** (p - 2) * _eval_on(x, grid) / grid
+    return float((1 - p) * np.trapezoid(integrand, dx=(t - a) / quad_n))
+
+
+def oracle_hadamard_moments_wp(x, p, t, b, quad_n):
+    if t == b:
+        return 0.0
+    grid = np.linspace(t, b, quad_n + 1)
+    integrand = np.log(b / grid) ** (p - 2) * _eval_on(x, grid) / grid
+    return float((1 - p) * np.trapezoid(integrand, dx=(b - t) / quad_n))
+
+
+# (oracle, per-order function, kernel keywords, terminal, interior points)
+MOMENT_KINDS = (
+    (oracle_moments_vp, moments_vp, {}, 0.0, (0.3, 1.0)),
+    (oracle_moments_wp, moments_wp, {"right": True}, 1.0, (0.0, 0.55)),
+    (oracle_hadamard_moments_vp, hadamard_moments_vp, {"hadamard": True}, 1.0, (1.3, 2.0)),
+    (
+        oracle_hadamard_moments_wp,
+        hadamard_moments_wp,
+        {"right": True, "hadamard": True},
+        2.0,
+        (1.0, 1.45),
+    ),
+)
+
+
+@pytest.mark.parametrize("quad_n", [1, 7, 2000, 20000])
+def test_moment_kernel_matches_per_order_quadrature(quad_n):
+    # positive integrands, so the relative error is that of each term
+    functions = (
+        lambda t: np.exp(2.0 * t),  # evaluated on the whole grid at once
+        lambda t: 1.0 + math.sin(3.0 * t) ** 2,  # scalar only: one call per point
+    )
+    for oracle, per_order, kind, terminal, points in MOMENT_KINDS:
+        for x in functions:
+            for t in points:
+                values = moment_values(x, 12, t, terminal, quad_n, **kind)
+                assert values.shape == (11,)
+                for p in range(2, 13):
+                    ref = oracle(x, p, t, terminal, quad_n)
+                    assert abs(values[p - 2] - ref) <= 1e-13 * abs(ref), (kind, t, p)
+                    assert per_order(x, p, t, terminal, quad_n) == values[p - 2]
+
+
+def test_moment_kernel_is_zero_at_terminal():
+    calls = []
+
+    def x(t):
+        calls.append(t)
+        return 1.0
+
+    for _, per_order, kind, terminal, _ in MOMENT_KINDS:
+        values = moment_values(x, 12, terminal, terminal, 100, **kind)
+        assert values.shape == (11,) and np.all(values == 0.0)
+        assert all(per_order(x, p, terminal, terminal, 100) == 0.0 for p in (2, 5, 12))
+    assert not calls
+
+
+def test_moment_kernel_below_order_two_evaluates_nothing():
+    def x(t):
+        raise AssertionError("x evaluated")
+
+    assert moment_values(x, 1, 0.5, 0.0, 100).shape == (0,)
+    coeffs = moment_coeffs(0.5, 1)
+    got = expand_moment_left(lambda t: 2.0, lambda t: 0.0, coeffs, 0.5, 0.0, 100)
+    assert got == pytest.approx(coeffs.A * 0.5**-0.5 * 2.0 + 0.0, rel=1e-15)
+
+
+def test_moment_kernel_validation():
+    with pytest.raises(ValueError):
+        moment_values(lambda t: t, 3, 0.5, 0.0, 0)
+    with pytest.raises(ValueError):
+        moment_values(lambda t: t, 3, -0.5, 0.0, 10)  # t < a
+    with pytest.raises(ValueError):
+        moment_values(lambda t: t, 3, 1.5, 1.0, 10, right=True)  # t > b
+    with pytest.raises(ValueError):
+        moment_values(lambda t: t, 3, 0.0, 1.0, 10, right=True, hadamard=True)
+
+
+def test_moment_expansion_uses_the_moment_prefix():
+    # moments computed once at a larger N give the same value at every N
+    x, xd = lambda t: np.exp(2.0 * t), lambda t: 2.0 * np.exp(2.0 * t)
+    t = 0.7
+    long = moment_values(x, 10, t, 0.0, 500)
+    for N in (1, 2, 5, 10):
+        coeffs = moment_coeffs(0.4, N)
+        assert np.array_equal(moment_values(x, N, t, 0.0, 500), long[: N - 1])
+        got = moment_expansion(coeffs, t, float(x(t)), float(xd(t)), long)
+        assert got == expand_moment_left(x, xd, coeffs, t, 0.0, 500)
+        assert isinstance(got, float)
+    with pytest.raises(ValueError):
+        moment_expansion(moment_coeffs(0.4, 5), t, 1.0, 1.0, long[:3])
 
 
 def test_moments_vp_closed_forms():
