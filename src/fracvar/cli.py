@@ -199,11 +199,18 @@ def _moment_sweep(func, method, exact, alpha, a, grid, Ns, quad_n):
         yield N, points, error
 
 
+def _quad_n(opts: _Options, default: int) -> int:
+    quad_n = int(opts.get("quad-n", default, kind="int"))
+    if quad_n < 1:
+        raise UsageError(f"--quad-n must be >= 1, got {quad_n}")
+    return quad_n
+
+
 def cmd_derivative(opts: _Options) -> tuple:
     fname = opts.get("function", "t4")
     method = opts.get("method", "moment")
     alphas = opts.get("alpha", [0.5], kind="floats")
-    quad_n = int(opts.get("quad-n", 2000, kind="int"))
+    quad_n = _quad_n(opts, 2000)
     points = int(opts.get("points", 100, kind="int"))
     if fname not in CATALOG:
         raise UsageError(f"unknown function id {fname!r} (have {sorted(CATALOG)})")
@@ -385,7 +392,7 @@ def cmd_bounds(opts: _Options) -> tuple:
     fname = opts.get("function", "t4")
     method = opts.get("method", "integer")
     alphas = opts.get("alpha", [0.5], kind="floats")
-    quad_n = int(opts.get("quad-n", 20000, kind="int"))
+    quad_n = _quad_n(opts, 20000)
     points = int(opts.get("points", 20, kind="int"))
     Ns = opts.get("N", list(range(2, 11)), kind="ints")
     if fname not in CATALOG:

@@ -12,16 +12,20 @@ The three catalog problems with known minimizers come with dedicated system
 assemblies, used as independent cross-checks of the generic machinery.
 """
 
+import logging
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
+from scipy import fft
 from scipy.linalg import toeplitz
 
 from .expansions import _eval_on
 from .operators import Mesh, SampledCurve, gl_left_all, gl_right_all, gl_weights
 from .specfun import gamma, gen_binomial
+
+LOG = logging.getLogger("fracvar.direct")
 
 
 class NewtonConvergenceError(RuntimeError):
@@ -46,9 +50,26 @@ AFFINE_RTOL = 1e3 * np.finfo(float).eps
 #: Damped Newton on n >= 2 * CONTINUATION_MIN_N subintervals starts from the
 #: interpolated solution on n // 2: on the degenerate (quartic) minimum of
 #: Example 3 the iteration count from the linear interpolant grows with n
-#: and passes the default budget of 50 from n = 164 on; from the coarse
-#: solution it stays at 10-25 up to n = 413.
+#: and passes the default budget of 50 from n = 164 on (dense step); from
+#: the coarse solution it stays at 10-25 up to n = 413 with the dense step
+#: and at most 12 up to n = 4160 with the structured one.
 CONTINUATION_MIN_N = 8
+
+#: The structured Newton step floors the diagonal L_DD of its matrix at
+#: STRUCTURED_FLOOR * mean(L_DD).  On the degenerate (quartic) minimum of
+#: Example 3, L_DD = 12 (D^alpha x - phi)^2 vanishes where the fit is exact;
+#: without the floor Newton needs 56 iterations at n = 1310, with it at most
+#: 12 per continuation level up to n = 4160.
+STRUCTURED_FLOOR = 0.1
+
+#: Lower-triangular Toeplitz products of vectors with at least this many
+#: entries go through the FFT, shorter ones through np.convolve; the two
+#: cost the same at about 320-384 entries (numpy 2.4, scipy 1.17, one
+#: x86-64 core).
+FFT_MIN_LEN = 384
+
+#: Relative forward-difference step of the Jacobian and of L_DD.
+_FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -91,20 +112,83 @@ class StationaritySystem:
 
     ``residual`` maps the interior values (x_1..x_{n-1}) to the scaled
     gradient dPsi/dx_i / h; it vanishes exactly at discrete minimizers.
+    ``structured_step(x, r)`` returns the structured Newton step at x (see
+    solve_direct), or None where the Lagrangian's partials rule it out;
+    ``psi`` is the discretized functional, the step's second merit.
     """
 
     n: int
     residual: Callable
+    structured_step: Optional[Callable] = None
+    psi: Optional[Callable] = None
 
 
-def _gl_rows(alpha: float, mesh: Mesh) -> np.ndarray:
-    """Rows 1..n of the lower-triangular GL Toeplitz matrix G = h^(-alpha) T(w),
-    so that D^alpha x at nodes 1..n is G x over the full node vector."""
-    w = gl_weights(alpha, mesh.n).w
-    return toeplitz(w, np.zeros(mesh.n + 1))[1:] / mesh.h**alpha
+class _LowerToeplitz:
+    """Lower-triangular Toeplitz matrix T(c) with first column c, applied to
+    vectors of any length up to len(c): by np.convolve below FFT_MIN_LEN
+    entries, else by FFT with the kernel's spectrum cached per length."""
+
+    def __init__(self, c: np.ndarray):
+        self.c = c
+        self._spectra = {}
+
+    def matvec(self, y: np.ndarray) -> np.ndarray:
+        size = len(y)
+        if size < FFT_MIN_LEN:
+            return np.convolve(self.c[:size], y)[:size]
+        nfft = fft.next_fast_len(2 * size - 1, real=True)
+        spectrum = self._spectra.get(nfft)
+        if spectrum is None:
+            spectrum = self._spectra[nfft] = fft.rfft(self.c[:size], nfft)
+        return fft.irfft(fft.rfft(y, nfft) * spectrum, nfft)[:size]
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """T(c)^T y."""
+        return self.matvec(y[::-1])[::-1]
 
 
-def _assemble_state(problem: DirectProblem, mesh: Mesh, g: np.ndarray, interior):
+class _GlRows:
+    """Rows 1..n of the lower-triangular GL Toeplitz matrix G = h^(-alpha) T(w)
+    over the node vector, so that D^alpha x at nodes 1..n is G x.  Single
+    states are multiplied by convolution; batches by the dense G, built on
+    first use."""
+
+    def __init__(self, alpha: float, mesh: Mesh):
+        self.n = mesh.n
+        self.h_alpha = mesh.h**alpha
+        self.w = gl_weights(alpha, mesh.n).w
+        self.conv = _LowerToeplitz(self.w)
+        self._dense = None
+
+    def dense(self) -> np.ndarray:
+        if self._dense is None:
+            self._dense = toeplitz(self.w, np.zeros(self.n + 1))[1:] / self.h_alpha
+        return self._dense
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """G x for node values x (..., n + 1): D^alpha at nodes 1..n."""
+        if x.ndim > 1:
+            return x @ self.dense().T
+        return self.conv.matvec(x)[1:] / self.h_alpha
+
+    def apply_t(self, y: np.ndarray) -> np.ndarray:
+        """G^T y at the interior nodes 1..n-1, for y (..., n) at nodes 1..n."""
+        if y.ndim > 1:
+            return (y @ self.dense())[..., 1 : self.n]
+        return self.conv.rmatvec(y)[: self.n - 1] / self.h_alpha
+
+
+def _inverse_gl_weights(alpha: float, K: int) -> np.ndarray:
+    """GL weights of order -alpha, (-1)^k binom(-alpha, k) for k = 0..K, by
+    the recurrence v_k = v_{k-1} (k - 1 + alpha) / k.  h^alpha T(v) is the
+    exact inverse of h^(-alpha) T(w) (Lubich, SIAM J. Math. Anal. 17, 1986):
+    the generating functions (1 - z)^(-alpha) and (1 - z)^alpha multiply
+    to 1."""
+    ratios = (np.arange(K) + alpha) / np.arange(1.0, K + 1.0)
+    return np.concatenate(([1.0], np.cumprod(ratios)))
+
+
+def _assemble_state(problem: DirectProblem, mesh: Mesh, gl: _GlRows, interior):
     """Nodes, values, xdot and D^alpha at nodes 1..n for interior values given
     as one state (m,) or a batch (k, m) with one state per row."""
     interior = np.asarray(interior, dtype=float)
@@ -113,7 +197,16 @@ def _assemble_state(problem: DirectProblem, mesh: Mesh, g: np.ndarray, interior)
     x[..., -1] = problem.x_b
     x[..., 1:-1] = interior
     xdot = np.diff(x, axis=-1) / mesh.h
-    return mesh.nodes()[1:], x[..., 1:], xdot, x @ g.T
+    return mesh.nodes()[1:], x[..., 1:], xdot, gl.apply(x)
+
+
+def _psi(problem: DirectProblem, mesh: Mesh, gl: _GlRows) -> Callable:
+    def psi(interior):
+        state = _assemble_state(problem, mesh, gl, interior)
+        total = mesh.h * np.sum(_eval_on(problem.lagrangian.L, *state), axis=-1)
+        return float(total) if total.ndim == 0 else total
+
+    return psi
 
 
 def discretize(problem: DirectProblem, n: int) -> Callable:
@@ -123,14 +216,7 @@ def discretize(problem: DirectProblem, n: int) -> Callable:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     mesh = Mesh(problem.a, problem.b, n)
-    g = _gl_rows(problem.alpha, mesh)
-
-    def psi(interior):
-        state = _assemble_state(problem, mesh, g, interior)
-        total = mesh.h * np.sum(_eval_on(problem.lagrangian.L, *state), axis=-1)
-        return float(total) if total.ndim == 0 else total
-
-    return psi
+    return _psi(problem, mesh, _GlRows(problem.alpha, mesh))
 
 
 def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
@@ -140,26 +226,57 @@ def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
               + (1/h) [dL/dxdot(t_i) - dL/dxdot(t_{i+1})]    (xdot terms
               present only when the Lagrangian uses xdot)
 
-    i.e. (dL/dD @ G)_i + dL/dx_i + ..., each partial evaluated once on the
-    node arrays.  The residual maps one state (m,) to (m,) and a batch
-    (k, m) to (k, m), row by row.
+    i.e. (G^T dL/dD)_i + dL/dx_i + ..., each partial evaluated once on the
+    node arrays.  The residual maps one state (m,) to (m,), G x and G^T dL/dD
+    by convolution, and a batch (k, m) to (k, m), row by row, through the
+    dense G.  The system also carries the structured Newton step and Psi.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     lag = problem.lagrangian
     mesh = Mesh(problem.a, problem.b, n)
-    g = _gl_rows(problem.alpha, mesh)
+    gl = _GlRows(problem.alpha, mesh)
+    inverse = _LowerToeplitz(_inverse_gl_weights(problem.alpha, n - 2))
+    # L^-T u for u^T, row n of G on the interior nodes
+    inv_t_u = inverse.rmatvec(gl.w[n - 1 : 0 : -1])
 
     def residual(interior) -> np.ndarray:
-        state = _assemble_state(problem, mesh, g, interior)
-        r = (_eval_on(lag.dL_ddalpha, *state) @ g)[..., 1:n]
+        state = _assemble_state(problem, mesh, gl, interior)
+        r = gl.apply_t(_eval_on(lag.dL_ddalpha, *state))
         r += _eval_on(lag.dL_dx, *state)[..., : n - 1]
         if lag.uses_xdot:
             p = _eval_on(lag.dL_dxdot, *state)
             r += (p[..., :-1] - p[..., 1:]) / mesh.h
         return r
 
-    return StationaritySystem(n, residual)
+    def structured_step(interior, r):
+        """Solve (L^T Lam L + lam_n u u^T) s = -r, or None (see solve_direct).
+
+        L (rows and columns 1..n-1 of G) has the exact inverse
+        h^alpha T(w(-alpha)), and row n (u^T) enters by Sherman-Morrison:
+        s = L^-1 Lam^-1 (a - c q) with a = -L^-T r, q = L^-T u and
+        c = lam_n q.(a / Lam) / (1 + lam_n q.(q / Lam))."""
+        if lag.uses_xdot:
+            return None
+        t, x, xdot, d = _assemble_state(problem, mesh, gl, interior)
+        d_step = _FD_STEP * (1.0 + np.abs(d))
+        x_probe = np.array([x, x + _FD_STEP * (1.0 + np.abs(x)), x])
+        d_probe = np.array([d, d, d + d_step])
+        l_x = _eval_on(lag.dL_dx, t, x_probe, xdot, d_probe)
+        l_d = _eval_on(lag.dL_ddalpha, t, x_probe, xdot, d_probe)
+        if not ((l_x[1:] == l_x[0]).all() and (l_d[1] == l_d[0]).all()):
+            return None  # coupled through x as well
+        l_dd = (l_d[2] - l_d[0]) / d_step
+        mean = l_dd.mean()
+        if not (mean > 0.0 and l_dd.min() >= 0.0):
+            return None
+        lam = np.maximum(l_dd, STRUCTURED_FLOOR * mean)
+        lam_int, lam_n = lam[:-1], lam[-1]
+        a = inverse.rmatvec(-r) * gl.h_alpha
+        c = lam_n * (inv_t_u @ (a / lam_int)) / (1.0 + lam_n * (inv_t_u @ (inv_t_u / lam_int)))
+        return inverse.matvec((a - c * inv_t_u) / lam_int) * gl.h_alpha
+
+    return StationaritySystem(n, residual, structured_step, _psi(problem, mesh, gl))
 
 
 def solve_direct(
@@ -174,15 +291,33 @@ def solve_direct(
     ``linear=True`` performs a single dense solve (valid when the residual
     is affine in the unknowns, i.e. quadratic Lagrangians) and raises
     :class:`NonAffineSystemError` when the residual at the computed solution
-    shows that it is not.  Otherwise a damped Newton iteration runs with a
-    forward-difference Jacobian (all m probes in one batched residual call),
-    halving the step up to 30 times whenever the residual norm does not
-    decrease; a step that still does not decrease it raises
-    :class:`NewtonConvergenceError`.  Newton starts from the linear
+    shows that it is not.  Otherwise damped Newton runs until the residual's
+    largest entry falls below ``newton_tol``.  Its step is chosen at every
+    iterate from the Lagrangian's partials there:
+
+    * structured, when the stationarity conditions couple only through
+      D^alpha: ``uses_xdot`` is false, nodewise forward differences of
+      dL/dx in its x and D^alpha slots and of dL/dD^alpha in its x slot are
+      exactly zero, and L_DD, the forward difference of dL/dD^alpha in its
+      D^alpha slot, is >= 0 with a positive mean.  The Newton matrix is then
+      G^T diag(L_DD) G over the interior nodes; with L_DD floored at
+      STRUCTURED_FLOOR * mean(L_DD) it is solved exactly in O(n log n)
+      (see ``StationaritySystem.structured_step``).  Since the floored step
+      descends Psi but not always the residual norm, a damped trial is
+      accepted when it lowers either;
+    * dense otherwise: a forward-difference Jacobian (all m probes in one
+      batched residual call), a dense solve, and a trial accepted when it
+      lowers the residual norm.
+
+    The step is halved up to 30 times until a trial is accepted; a step
+    that is never accepted raises :class:`NewtonConvergenceError`, as does
+    running out of ``max_iter`` iterations.  Newton starts from the linear
     interpolant of the boundary values when n < 2 * CONTINUATION_MIN_N, and
     otherwise from the interpolated solution on n // 2 subintervals (same
     tolerance and iteration budget), falling back to the linear interpolant
-    when that coarse solve fails.
+    when that coarse solve fails.  Each iteration logs one DEBUG record on
+    the ``fracvar.direct`` logger: n, the iteration, the residual norm, the
+    damping and the step kind.
     """
     system = stationarity(problem, n)
     mesh = Mesh(problem.a, problem.b, n)
@@ -190,7 +325,7 @@ def solve_direct(
         interior = _solve_affine(system.residual, n - 1)
     else:
         guess = _initial_guess(problem, mesh, newton_tol, max_iter)
-        interior = _newton(system.residual, guess, newton_tol, max_iter)
+        interior = _newton(system, guess, newton_tol, max_iter)
     x = np.empty(n + 1)
     x[0] = problem.x_a
     x[-1] = problem.x_b
@@ -232,20 +367,28 @@ def _solve_affine(residual: Callable, m: int) -> np.ndarray:
     return x
 
 
-def _newton(
-    residual: Callable, guess: np.ndarray, tol: float, max_iter: int
-) -> np.ndarray:
+def _newton(system, guess: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """Damped Newton on a StationaritySystem (steps as in solve_direct), or
+    on a bare residual callable, which always takes the dense step."""
+    if not isinstance(system, StationaritySystem):
+        system = StationaritySystem(len(guess) + 1, system)
+    residual = system.residual
     x = np.array(guess, dtype=float)
     r = residual(x)
     rnorm = np.max(np.abs(r))
     if rnorm < tol:
         return x
-    for _ in range(max_iter):
-        jac = _numeric_jacobian(residual, x, r)
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"Newton Jacobian singular: {exc}") from exc
+    debug = LOG.isEnabledFor(logging.DEBUG)
+    for iteration in range(1, max_iter + 1):
+        step = system.structured_step(x, r) if system.structured_step else None
+        structured = step is not None
+        if not structured:
+            jac = _numeric_jacobian(residual, x, r)
+            try:
+                step = np.linalg.solve(jac, -r)
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystemError(f"Newton Jacobian singular: {exc}") from exc
+        psi = None
         damping = 1.0
         for _ in range(30):
             x_new = x + damping * step
@@ -253,13 +396,24 @@ def _newton(
             rnorm_new = np.max(np.abs(r_new))
             if rnorm_new < rnorm:
                 break
+            if structured:
+                if psi is None:
+                    psi = system.psi(x)
+                if system.psi(x_new) < psi:
+                    break
             damping *= 0.5
         else:
+            merit = "the residual norm or Psi" if structured else "the residual norm"
             raise NewtonConvergenceError(
-                f"damped Newton step did not reduce the residual norm "
-                f"{rnorm:.3e} after 30 halvings"
+                f"damped Newton step did not reduce {merit} "
+                f"(residual norm {rnorm:.3e}) after 30 halvings"
             )
         x, r, rnorm = x_new, r_new, rnorm_new
+        if debug:
+            LOG.debug(
+                "newton n=%d iteration=%d residual=%.3e damping=%g step=%s",
+                system.n, iteration, rnorm, damping, "structured" if structured else "dense",
+            )
         if rnorm < tol:
             return x
     raise NewtonConvergenceError(
@@ -271,7 +425,7 @@ def _newton(
 def _numeric_jacobian(residual: Callable, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
     """Forward differences with steps sqrt(eps) (1 + |x_j|), all m probes
     x + step_j e_j evaluated as one batch (row j of the batch is probe j)."""
-    steps = math.sqrt(np.finfo(float).eps) * (1.0 + np.abs(x))
+    steps = _FD_STEP * (1.0 + np.abs(x))
     return ((residual(x + np.diag(steps)) - r0) / steps[:, None]).T
 
 
@@ -327,9 +481,17 @@ def example3_minimizer(t):
     return 16.0 * t**5 - 20.0 * t**3 + 5.0 * t
 
 
+# e * e * e, not e ** 3 (and e^2 e^2, not e ** 4): numpy's float power is
+# an order of magnitude slower on arrays with entries of both signs
+
+
+def _example3_L(t, x, xd, d):
+    e = d - example3_phi(t)
+    e2 = e * e
+    return e2 * e2
+
+
 def _example3_dL_ddalpha(t, x, xd, d):
-    # e * e * e, not e ** 3: numpy's float power is an order of magnitude
-    # slower on arrays with entries of both signs
     e = d - example3_phi(t)
     return 4.0 * e * e * e
 
@@ -338,7 +500,7 @@ def example3_problem() -> DirectProblem:
     """Quartic tracking problem on [0,1] with oscillating minimizer
     16t^5 - 20t^3 + 5t; its stationarity system is nonlinear (cubic)."""
     lag = LagrangianSpec(
-        L=lambda t, x, xd, d: (d - example3_phi(t)) ** 4,
+        L=_example3_L,
         dL_dx=lambda t, x, xd, d: 0.0 * d,
         dL_dxdot=lambda t, x, xd, d: 0.0 * d,
         dL_ddalpha=_example3_dL_ddalpha,

@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .direct import NonAffineSystemError, SingularSystemError
-from .expansions import DerivativeBundle, MomentCoeffs, moment_coeffs
+from .expansions import DerivativeBundle, MomentCoeffs, integer_coefficient, moment_coeffs
 from .operators import Mesh, SampledCurve
 from .specfun import gamma
 
@@ -91,10 +91,12 @@ class ClosedFormCoeffs:
 def integer_route_coefficient(n: int, alpha: float) -> float:
     """Series coefficient C(n, alpha) of the integer-order reduction:
 
-        C(n, alpha) = (-1)^(n-1) alpha / (n! (n - alpha) Gamma(1 - alpha)).
+        C(n, alpha) = (-1)^(n-1) alpha / (n! (n - alpha) Gamma(1 - alpha)),
+
+    the coefficient of the integer-order expansion
+    (``expansions.integer_coefficient``).
     """
-    sign = 1.0 if n % 2 == 1 else -1.0
-    return sign * alpha / (math.factorial(n) * (n - alpha) * gamma(1.0 - alpha))
+    return integer_coefficient(alpha, n)
 
 
 def _example2_m1(alpha: float, N: int) -> float:

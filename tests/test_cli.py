@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import logging
 import math
 
 import numpy as np
@@ -127,6 +128,17 @@ def test_direct_ex3_converges(tmp_path):
     assert rows and all(r[6] == "1" for r in rows)
 
 
+def test_direct_debug_log_leaves_output_unchanged(tmp_path, capsys, caplog):
+    quiet, logged = tmp_path / "quiet.csv", tmp_path / "logged.csv"
+    argv = ["direct", "--example", "ex3", "--n", "10", "20"]
+    assert run(argv + ["--out", str(quiet)]) == 0
+    with caplog.at_level(logging.DEBUG, logger="fracvar.direct"):
+        assert run(argv + ["--out", str(logged)]) == 0
+    assert any(r.name == "fracvar.direct" for r in caplog.records)
+    assert logged.read_bytes() == quiet.read_bytes()
+    assert capsys.readouterr().out == ""
+
+
 def test_indirect_ex2_integer_stays_off(tmp_path):
     out = tmp_path / "ind.csv"
     assert run([
@@ -231,6 +243,20 @@ def test_usage_errors_exit_1(tmp_path):
     assert run(["bounds", "--function", "t2", "--method", "hadamard"]) == 1
     assert run(["table-b", "--config", str(tmp_path / "missing.ini")]) == 1
     assert run(["not-a-command"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derivative", "--method", "moment", "--function", "t4", "--N", "2", "--quad-n", "0"],
+        ["bounds", "--method", "moment", "--function", "t4", "--N", "2", "--quad-n", "-3"],
+    ],
+)
+def test_quad_n_below_one_exits_1(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert "--quad-n must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_empty_alpha_list_from_config_exits_1(tmp_path):

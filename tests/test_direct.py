@@ -1,8 +1,11 @@
 import dataclasses
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from fracvar import direct, indirect
 from fracvar.direct import (
@@ -11,6 +14,8 @@ from fracvar.direct import (
     LagrangianSpec,
     NewtonConvergenceError,
     NonAffineSystemError,
+    StationaritySystem,
+    _inverse_gl_weights,
     _newton,
     _numeric_jacobian,
     discretize,
@@ -391,8 +396,162 @@ def test_continuation_falls_back_to_linear_guess(monkeypatch):
     curve = spy(problem, n, max_iter=200)
     assert calls == [n, n // 2]
     linear_guess = curve.mesh.nodes()[1:-1]  # x(0) = 0 and x(1) = 1
-    reference = _newton(stationarity(problem, n).residual, linear_guess, 1e-10, 200)
+    # the whole system, so that the reference takes solve_direct's steps
+    reference = _newton(stationarity(problem, n), linear_guess, 1e-10, 200)
     assert np.array_equal(curve.values[1:-1], reference)
+
+
+# ---------------------------------------------------------------------------
+# structured Newton step against the dense forward-difference Newton
+# ---------------------------------------------------------------------------
+
+
+def dense_solve(problem, n, tol=1e-10, max_iter=50):
+    """Damped Newton with the forward-difference Jacobian only, from the
+    interpolated dense solution on n // 2 (solve_direct's continuation)."""
+    t = Mesh(problem.a, problem.b, n).nodes()
+    if n >= 2 * CONTINUATION_MIN_N:
+        coarse = dense_solve(problem, n // 2, tol, max_iter)
+        guess = np.interp(t[1:-1], Mesh(problem.a, problem.b, n // 2).nodes(), coarse)
+    else:
+        guess = problem.x_a + (problem.x_b - problem.x_a) * (t[1:-1] - problem.a) / (
+            problem.b - problem.a
+        )
+    interior = _newton(stationarity(problem, n).residual, guess, tol, max_iter)
+    return np.concatenate(([problem.x_a], interior, [problem.x_b]))
+
+
+def newton_steps(caplog):
+    """(n, iteration, residual, damping, step kind) of every logged iteration."""
+    return [r.args for r in caplog.records if r.name == "fracvar.direct"]
+
+
+@pytest.mark.parametrize("n", [16, 41, 103, 260, 400])
+def test_example3_structured_matches_dense(n, caplog):
+    problem = example3_problem()
+    with caplog.at_level(logging.DEBUG, logger="fracvar.direct"):
+        got = solve_direct(problem, n).values
+    assert {step[4] for step in newton_steps(caplog)} == {"structured"}
+    # the oracle runs to 1e-13: stopped at 1e-10, the dense solve at n = 400
+    # lies 1.1e-10 from its own 1e-13 solution
+    assert np.max(np.abs(got - dense_solve(problem, n, tol=1e-13))) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("n", [40, 400, 1640])
+def test_example1_newton_matches_linear_solve(alpha, n):
+    problem = dataclasses.replace(example1_problem(), alpha=alpha)
+    newton = solve_direct(problem, n).values
+    linear = solve_direct(problem, n, linear=True).values
+    assert np.max(np.abs(newton - linear)) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.95])
+@pytest.mark.parametrize("m", [1, 2, 17, 300])
+def test_inverse_gl_weights_invert_gl_toeplitz(alpha, m):
+    h = 1.0 / (m + 1)
+    gl = toeplitz(gl_weights(alpha, m - 1).w, np.zeros(m)) / h**alpha
+    inverse = toeplitz(_inverse_gl_weights(alpha, m - 1), np.zeros(m)) * h**alpha
+    assert np.max(np.abs(inverse @ gl - np.eye(m))) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [413, 655, 1310, 2621, 4160])
+def test_example3_large_n_within_default_budget(n, caplog):
+    with caplog.at_level(logging.DEBUG, logger="fracvar.direct"):
+        curve = solve_direct(example3_problem(), n)
+    assert np.max(np.abs(example3_residual(curve.values[1:-1], n))) <= 1e-8
+    per_level = {}
+    for step in newton_steps(caplog):
+        per_level[step[0]] = per_level.get(step[0], 0) + 1
+    assert n in per_level and max(per_level.values()) <= 50
+
+
+def test_example3_structured_solve_never_builds_dense_g():
+    # the dense G alone takes (n + 1) n 8 bytes = 138 MB at n = 4160
+    tracemalloc.start()
+    try:
+        solve_direct(example3_problem(), 4160)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def _target(t):
+    return np.sin(3.0 * t)
+
+
+COUPLED = {
+    # D^alpha and x both couple the stationarity conditions
+    "x": LagrangianSpec(
+        L=lambda t, x, xd, d: (d - _target(t)) ** 2 + x**4,
+        dL_dx=lambda t, x, xd, d: 4.0 * x**3,
+        dL_dxdot=lambda t, x, xd, d: 0.0 * d,
+        dL_ddalpha=lambda t, x, xd, d: 2.0 * (d - _target(t)),
+    ),
+    "xdot": LagrangianSpec(
+        L=lambda t, x, xd, d: (d - _target(t)) ** 4 + xd**2,
+        dL_dx=lambda t, x, xd, d: 0.0 * d,
+        dL_dxdot=lambda t, x, xd, d: 2.0 * xd,
+        dL_ddalpha=lambda t, x, xd, d: 4.0 * (d - _target(t)) ** 3,
+        uses_xdot=True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUPLED))
+def test_coupled_lagrangians_take_dense_step(name, caplog):
+    problem = DirectProblem(0.0, 1.0, 0.0, 1.0, 0.5, COUPLED[name])
+    n = 40
+    with caplog.at_level(logging.DEBUG, logger="fracvar.direct"):
+        curve = solve_direct(problem, n)
+    steps = newton_steps(caplog)
+    assert steps and {step[4] for step in steps} == {"dense"}
+    assert np.max(np.abs(stationarity(problem, n).residual(curve.values[1:-1]))) < 1e-10
+    assert np.max(np.abs(curve.values - dense_solve(problem, n))) <= 1e-10
+
+
+def test_newton_logs_one_record_per_iteration(caplog):
+    problem = example3_problem()
+    n = 12  # below the continuation threshold: one Newton run
+    system = stationarity(problem, n)
+    counted = []
+    counting = dataclasses.replace(system, residual=lambda x: counted.append(1) or system.residual(x))
+    guess = Mesh(0.0, 1.0, n).nodes()[1:-1]
+    with caplog.at_level(logging.DEBUG, logger="fracvar.direct"):
+        x = _newton(counting, guess, 1e-10, 50)
+    steps = newton_steps(caplog)
+    assert [step[1] for step in steps] == list(range(1, len(steps) + 1))
+    assert all(step[0] == n and step[4] == "structured" for step in steps)
+    assert all(0.0 < step[3] <= 1.0 for step in steps)
+    assert steps[-1][2] == np.max(np.abs(system.residual(x))) < 1e-10
+    assert all(r.levelno == logging.DEBUG for r in caplog.records)
+    # Newton evaluates the residual through the system it was handed
+    assert len(counted) >= len(steps) + 1
+
+
+def test_newton_logs_nothing_above_debug(caplog, monkeypatch):
+    calls = []
+    monkeypatch.setattr(direct.LOG, "debug", lambda *args: calls.append(args))
+    with caplog.at_level(logging.INFO, logger="fracvar.direct"):
+        solve_direct(example3_problem(), 12)
+    assert calls == []
+
+
+def test_bare_residual_takes_dense_step(caplog):
+    system = stationarity(example3_problem(), 12)
+    guess = Mesh(0.0, 1.0, 12).nodes()[1:-1]
+    with caplog.at_level(logging.DEBUG, logger="fracvar.direct"):
+        _newton(system.residual, guess, 1e-10, 50)
+    assert {step[4] for step in newton_steps(caplog)} == {"dense"}
+
+
+def test_stationarity_system_survives_replace():
+    system = stationarity(example3_problem(), 12)
+    replaced = dataclasses.replace(system, residual=system.residual)
+    assert isinstance(replaced, StationaritySystem)
+    assert replaced.structured_step is system.structured_step
+    assert replaced.psi is system.psi
 
 
 @pytest.mark.parametrize("n", [10, 20])
