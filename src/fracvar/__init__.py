@@ -9,10 +9,12 @@ indirect expansion-based reductions to classical boundary value problems.
 Subpackages:
 
 * ``specfun``    gamma, generalized binomials, Mittag-Leffler, Stirling function
-* ``operators``  meshes, sampled curves, GL/Diethelm finite differences,
-                 exact reference derivatives, error norms
+* ``operators``  meshes, sampled curves, GL finite differences (one
+                 lower-triangular Toeplitz kernel, right-sided by reflection),
+                 the Diethelm scheme, exact reference derivatives, error norms
 * ``expansions`` integer-order and moment expansions with truncation bounds
-* ``direct``     Euler-like direct method and the catalog problems
+* ``direct``     Euler-like direct method and the catalog problems (the dedicated
+                 system assemblies that cross-check it are test oracles)
 * ``indirect``   expansion-based reductions, closed forms, linear TPBVP solver
 * ``cli``        the ``fracvar`` experiment harness (CSV output)
 """
@@ -75,11 +77,8 @@ from .direct import (
     discretize,
     euler_lagrange_residual,
     example1_problem,
-    example1_system,
     example2_problem,
-    example2_system,
     example3_problem,
-    example3_residual,
     solve_direct,
     stationarity,
 )

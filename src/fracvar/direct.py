@@ -6,10 +6,8 @@ backward differences for x', and the truncated Grunwald-Letnikov sum for the
 fractional derivative.  That turns J into a function Psi of the interior
 node values, and minimizers are sought as solutions of the stationarity
 system dPsi/dx_i = 0 (linear solve for quadratic Lagrangians, damped Newton
-otherwise).
-
-The three catalog problems with known minimizers come with dedicated system
-assemblies, used as independent cross-checks of the generic machinery.
+otherwise).  D^alpha x and its transpose go through the GL kernel of
+``operators``.
 """
 
 import logging
@@ -18,12 +16,19 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import fft
 from scipy.linalg import toeplitz
 
 from .expansions import _eval_on
-from .operators import Mesh, SampledCurve, gl_left_all, gl_right_all, gl_weights
-from .specfun import gamma, gen_binomial
+from .operators import (
+    Mesh,
+    SampledCurve,
+    _binomial_weights,
+    _LowerToeplitz,
+    gl_left_all,
+    gl_right_all,
+    gl_weights,
+)
+from .specfun import gamma
 
 LOG = logging.getLogger("fracvar.direct")
 
@@ -61,12 +66,6 @@ CONTINUATION_MIN_N = 8
 #: without the floor Newton needs 56 iterations at n = 1310, with it at most
 #: 12 per continuation level up to n = 4160.
 STRUCTURED_FLOOR = 0.1
-
-#: Lower-triangular Toeplitz products of vectors with at least this many
-#: entries go through the FFT, shorter ones through np.convolve; the two
-#: cost the same at about 320-384 entries (numpy 2.4, scipy 1.17, one
-#: x86-64 core).
-FFT_MIN_LEN = 384
 
 #: Relative forward-difference step of the Jacobian and of L_DD.
 _FD_STEP = math.sqrt(np.finfo(float).eps)
@@ -123,35 +122,11 @@ class StationaritySystem:
     psi: Optional[Callable] = None
 
 
-class _LowerToeplitz:
-    """Lower-triangular Toeplitz matrix T(c) with first column c, applied to
-    vectors of any length up to len(c): by np.convolve below FFT_MIN_LEN
-    entries, else by FFT with the kernel's spectrum cached per length."""
-
-    def __init__(self, c: np.ndarray):
-        self.c = c
-        self._spectra = {}
-
-    def matvec(self, y: np.ndarray) -> np.ndarray:
-        size = len(y)
-        if size < FFT_MIN_LEN:
-            return np.convolve(self.c[:size], y)[:size]
-        nfft = fft.next_fast_len(2 * size - 1, real=True)
-        spectrum = self._spectra.get(nfft)
-        if spectrum is None:
-            spectrum = self._spectra[nfft] = fft.rfft(self.c[:size], nfft)
-        return fft.irfft(fft.rfft(y, nfft) * spectrum, nfft)[:size]
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """T(c)^T y."""
-        return self.matvec(y[::-1])[::-1]
-
-
 class _GlRows:
     """Rows 1..n of the lower-triangular GL Toeplitz matrix G = h^(-alpha) T(w)
     over the node vector, so that D^alpha x at nodes 1..n is G x.  Single
-    states are multiplied by convolution; batches by the dense G, built on
-    first use."""
+    states are multiplied by the GL kernel; batches (the linear=True probe
+    and the dense Jacobian) by the dense G, built on first use."""
 
     def __init__(self, alpha: float, mesh: Mesh):
         self.n = mesh.n
@@ -176,16 +151,6 @@ class _GlRows:
         if y.ndim > 1:
             return (y @ self.dense())[..., 1 : self.n]
         return self.conv.rmatvec(y)[: self.n - 1] / self.h_alpha
-
-
-def _inverse_gl_weights(alpha: float, K: int) -> np.ndarray:
-    """GL weights of order -alpha, (-1)^k binom(-alpha, k) for k = 0..K, by
-    the recurrence v_k = v_{k-1} (k - 1 + alpha) / k.  h^alpha T(v) is the
-    exact inverse of h^(-alpha) T(w) (Lubich, SIAM J. Math. Anal. 17, 1986):
-    the generating functions (1 - z)^(-alpha) and (1 - z)^alpha multiply
-    to 1."""
-    ratios = (np.arange(K) + alpha) / np.arange(1.0, K + 1.0)
-    return np.concatenate(([1.0], np.cumprod(ratios)))
 
 
 def _assemble_state(problem: DirectProblem, mesh: Mesh, gl: _GlRows, interior):
@@ -236,7 +201,7 @@ def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
     lag = problem.lagrangian
     mesh = Mesh(problem.a, problem.b, n)
     gl = _GlRows(problem.alpha, mesh)
-    inverse = _LowerToeplitz(_inverse_gl_weights(problem.alpha, n - 2))
+    inverse = _LowerToeplitz(_binomial_weights(-problem.alpha, n - 2))
     # L^-T u for u^T, row n of G on the interior nodes
     inv_t_u = inverse.rmatvec(gl.w[n - 1 : 0 : -1])
 
@@ -430,7 +395,7 @@ def _numeric_jacobian(residual: Callable, x: np.ndarray, r0: np.ndarray) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# catalog problems and their dedicated assemblies
+# catalog problems
 # ---------------------------------------------------------------------------
 
 
@@ -507,78 +472,6 @@ def example3_problem() -> DirectProblem:
         uses_xdot=False,
     )
     return DirectProblem(0.0, 1.0, 0.0, 1.0, 0.5, lag)
-
-
-def example1_system(n: int):
-    """Explicit normal equations of Example 1's quadratic Psi, as (matrix, rhs).
-
-    With A_i = (-1)^i h^{3/2} binom(1/2, i), entry (j, m) is
-    sum_{i=max(j,m)..n} A_{i-j} A_{i-m} and
-    b_j = sum_{k=0..n-j} (2 h^2 A_k / Gamma(2.5)) t_{k+j}^{3/2} - A_{n-j} A_0 x_n,
-    the x_0 column dropping out because x(0) = 0.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    h = 1.0 / n
-    A = np.array([(-1.0) ** i * h**1.5 * gen_binomial(0.5, i) for i in range(n + 1)])
-    t = np.arange(n + 1) * h
-    mat = np.empty((n - 1, n - 1))
-    for j in range(1, n):
-        for m in range(1, n):
-            lo = max(j, m)
-            mat[j - 1, m - 1] = float(np.dot(A[lo - j : n + 1 - j], A[lo - m : n + 1 - m]))
-    x_n = 1.0
-    rhs = np.empty(n - 1)
-    for j in range(1, n):
-        rhs[j - 1] = (
-            2.0 * h**2 / gamma(2.5) * float(np.dot(A[: n - j + 1], t[j:] ** 1.5))
-            - A[n - j] * A[0] * x_n
-        )
-    return mat, rhs
-
-
-def example2_system(n: int):
-    """Tridiagonal [-1, 2, -1] system of Example 2 (alpha = 1/2), as (matrix, rhs):
-
-        b_i = (h/2) sum_{k=0..n-i} (-1)^k h^{1/2} binom(1/2, k),  i = 1..n-1,
-
-    with b_{n-1} boundary-adjusted by +x_n (and b_1 by +x_0 = 0).
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    h = 1.0 / n
-    w = gl_weights(0.5, n).w  # w_k = (-1)^k binom(1/2, k)
-    mat = np.zeros((n - 1, n - 1))
-    np.fill_diagonal(mat, 2.0)
-    idx = np.arange(n - 2)
-    mat[idx, idx + 1] = -1.0
-    mat[idx + 1, idx] = -1.0
-    rhs = np.array([0.5 * h**1.5 * float(np.sum(w[: n - i + 1])) for i in range(1, n)])
-    x_0, x_n = 0.0, 1.0
-    rhs[0] += x_0
-    rhs[-1] += x_n
-    return mat, rhs
-
-
-def example3_residual(xvec: np.ndarray, n: int) -> np.ndarray:
-    """Nonlinear stationarity residual of Example 3 (up to the constant 4h^{1-alpha}):
-
-        r_j = sum_{i=j..n} w_{i-j} (h^{-1/2} sum_{k=0..i} w_k x_{i-k} - phi(t_i))^3
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    xvec = np.asarray(xvec, dtype=float)
-    if xvec.shape != (n - 1,):
-        raise ValueError(f"expected {n - 1} interior values, got {xvec.shape}")
-    h = 1.0 / n
-    x = np.concatenate(([0.0], xvec, [1.0]))
-    t = np.arange(n + 1) * h
-    w = gl_weights(0.5, n).w
-    d = np.convolve(w, x)[: n + 1] / h**0.5
-    cubes = (d - example3_phi(t)) ** 3
-    return np.array(
-        [float(np.dot(w[: n - j + 1], cubes[j:])) for j in range(1, n)]
-    )
 
 
 def euler_lagrange_residual(curve: SampledCurve, problem: DirectProblem) -> SampledCurve:

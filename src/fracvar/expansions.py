@@ -197,19 +197,16 @@ def expand_integer_left(
 def expand_integer_right(
     bundle: DerivativeBundle, alpha: float, N: int, t: float, b: float
 ) -> float:
-    """Truncated integer-order expansion of the right RL derivative:
+    """Truncated integer-order expansion of the right RL derivative, the left
+    one reflected:
 
-        sum_{k=0..N} -alpha x^(k)(t) / (k! (k-alpha) Gamma(1-alpha))
-            * (b-t)^(k-alpha).
+        sum_{k=0..N} (-1)^k integer_coefficient(alpha, k) x^(k)(t) (b-t)^(k-alpha).
     """
     if not t < b:
         raise ExpansionDomainError(f"right expansion needs t < b, got t={t}, b={b}")
     _check_order(bundle, N)
-    g = gamma(1.0 - alpha)
     return sum(
-        -alpha
-        * bundle.deriv(k, t)
-        / (math.factorial(k) * (k - alpha) * g)
+        (-1) ** k * integer_coefficient(alpha, k) * bundle.deriv(k, t)
         * (b - t) ** (k - alpha)
         for k in range(N + 1)
     )

@@ -88,20 +88,9 @@ class ClosedFormCoeffs:
     Cp_terms: np.ndarray
 
 
-def integer_route_coefficient(n: int, alpha: float) -> float:
-    """Series coefficient C(n, alpha) of the integer-order reduction:
-
-        C(n, alpha) = (-1)^(n-1) alpha / (n! (n - alpha) Gamma(1 - alpha)),
-
-    the coefficient of the integer-order expansion
-    (``expansions.integer_coefficient``).
-    """
-    return integer_coefficient(alpha, n)
-
-
 def _example2_m1(alpha: float, N: int) -> float:
     total = sum(
-        (-1.0) ** n * gamma(n + 1.0 - alpha) * integer_route_coefficient(n, alpha)
+        (-1.0) ** n * gamma(n + 1.0 - alpha) * integer_coefficient(alpha, n)
         for n in range(N + 1)
     )
     return -total / (2.0 * gamma(3.0 - alpha))

@@ -14,12 +14,9 @@ import numpy as np
 from fracvar.direct import (
     discretize,
     example1_problem,
-    example1_system,
     example2_problem,
-    example2_system,
     example3_minimizer,
     example3_problem,
-    example3_residual,
     solve_direct,
     stationarity,
 )
@@ -56,6 +53,8 @@ from fracvar.operators import (
     rl_power_exact,
 )
 from fracvar.specfun import gamma, gen_binomial, mittag_leffler, stirling_function
+
+from direct_oracles import example1_system, example2_system, example3_residual
 
 #: max interior error of the n=40 Example 1 dense solve (example1_system
 #: oracle), recorded on the first verified run: 0.004950149730462816

@@ -15,26 +15,24 @@ from fracvar.direct import (
     NewtonConvergenceError,
     NonAffineSystemError,
     StationaritySystem,
-    _inverse_gl_weights,
     _newton,
     _numeric_jacobian,
     discretize,
     euler_lagrange_residual,
     example1_problem,
-    example1_system,
     example2_problem,
-    example2_system,
     example3_minimizer,
     example3_phi,
     example3_problem,
-    example3_residual,
     solve_direct,
     stationarity,
 )
 from fracvar.expansions import _eval_on
 from fracvar.indirect import analytic_solution_example2
-from fracvar.operators import Mesh, SampledCurve, gl_weights, max_error
+from fracvar.operators import Mesh, SampledCurve, _binomial_weights, gl_weights, max_error
 from fracvar.specfun import gamma, gen_binomial
+
+from direct_oracles import example1_system, example2_system, example3_residual
 
 CATALOG = {
     "ex1": (example1_problem(), lambda t: t**2),
@@ -451,7 +449,7 @@ def test_example1_newton_matches_linear_solve(alpha, n):
 def test_inverse_gl_weights_invert_gl_toeplitz(alpha, m):
     h = 1.0 / (m + 1)
     gl = toeplitz(gl_weights(alpha, m - 1).w, np.zeros(m)) / h**alpha
-    inverse = toeplitz(_inverse_gl_weights(alpha, m - 1), np.zeros(m)) * h**alpha
+    inverse = toeplitz(_binomial_weights(-alpha, m - 1), np.zeros(m)) * h**alpha
     assert np.max(np.abs(inverse @ gl - np.eye(m))) <= 1e-13
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fracvar.expansions import DerivativeBundle, moment_coeffs, moments_vp
+from fracvar.expansions import DerivativeBundle, integer_coefficient, moment_coeffs, moments_vp
 from fracvar.indirect import (
     HigherOrderLagrangian,
     IllConditionedSystemError,
@@ -16,7 +16,6 @@ from fracvar.indirect import (
     closed_form_coeffs,
     exact_solution_example4,
     higher_order_el_residual,
-    integer_route_coefficient,
     solve_example2_integer,
     solve_example2_moment_closed,
     solve_linear_tpbvp,
@@ -590,7 +589,7 @@ def test_integer_route_solution_satisfies_reduced_problem():
     bundle = DerivativeBundle(tuple(deriv(k) for k in range(N + 1)))
     partials = []
     for k in range(N + 1):
-        ck = integer_route_coefficient(k, ALPHA)
+        ck = integer_coefficient(ALPHA, k)
         if k == 1:
             partials.append(lambda t, d, ck=ck: ck * t ** (1.0 - ALPHA) - 2.0 * d[1])
         else:

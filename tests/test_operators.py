@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from fracvar.operators import (
+    FFT_MIN_LEN,
     GlWeights,
     Mesh,
     MeshMismatchError,
     SampledCurve,
     diethelm_caputo,
     diethelm_caputo_all,
-    diethelm_weight,
     gl_left,
     gl_left_all,
     gl_right,
@@ -30,6 +30,27 @@ GAMMA_25 = 1.3293403881791370
 
 def curve_of(f, a=0.0, b=1.0, n=100):
     return SampledCurve.from_function(Mesh(a, b, n), f)
+
+
+# per-node GL sums, one dot product each: independent oracles of the kernel
+
+
+def gl_left_reference(curve, alpha, i):
+    """h^(-alpha) * sum_{k=0..i} w_k x_{i-k}."""
+    w = gl_weights(alpha, i).w
+    return float(np.dot(w, curve.values[i::-1])) / curve.mesh.h**alpha
+
+
+def gl_right_reference(curve, alpha, i):
+    """h^(-alpha) * sum_{k=0..n-i} w_k x_{i+k}."""
+    w = gl_weights(alpha, curve.mesh.n - i).w
+    return float(np.dot(w, curve.values[i:])) / curve.mesh.h**alpha
+
+
+def gl_shifted_left_reference(curve, alpha, i):
+    """h^(-alpha) * sum_{k=0..i} w_k x_{i+1-k}."""
+    w = gl_weights(alpha, i).w
+    return float(np.dot(w, curve.values[i + 1 : 0 : -1])) / curve.mesh.h**alpha
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +159,7 @@ def test_gl_left_all_matches_pointwise():
     c = curve_of(lambda t: t**3, n=50)
     d = gl_left_all(c, 0.3)
     for i in (0, 1, 25, 50):
-        assert d[i] == pytest.approx(gl_left(c, 0.3, i), rel=1e-13)
+        assert d[i] == pytest.approx(gl_left_reference(c, 0.3, i), rel=1e-13)
 
 
 def test_gl_right_mirror_of_left():
@@ -146,7 +167,12 @@ def test_gl_right_mirror_of_left():
     for n in (100, 200):
         c = curve_of(lambda t: (1.0 - t) ** 2, n=n)
         cl = curve_of(lambda t: t * t, n=n)
-        assert gl_right(c, 0.5, 0) == pytest.approx(gl_left(cl, 0.5, n), rel=1e-12)
+        assert gl_right(c, 0.5, 0) == pytest.approx(
+            gl_left_reference(cl, 0.5, n), rel=1e-12
+        )
+        assert gl_left(cl, 0.5, n) == pytest.approx(
+            gl_right_reference(c, 0.5, 0), rel=1e-12
+        )
 
 
 def test_gl_right_constant_at_right_end():
@@ -158,7 +184,7 @@ def test_gl_right_all_matches_pointwise():
     c = curve_of(lambda t: np.exp(t), n=40)
     d = gl_right_all(c, 0.7)
     for i in (0, 17, 40):
-        assert d[i] == pytest.approx(gl_right(c, 0.7, i), rel=1e-13)
+        assert d[i] == pytest.approx(gl_right_reference(c, 0.7, i), rel=1e-13)
 
 
 def test_gl_linearity():
@@ -169,11 +195,43 @@ def test_gl_linearity():
     combo = SampledCurve(mesh, 2.0 * x.values - 3.0 * y.values)
     for i in (0, 10, 30):
         left = gl_left(combo, 0.5, i)
-        expect = 2.0 * gl_left(x, 0.5, i) - 3.0 * gl_left(y, 0.5, i)
+        expect = 2.0 * gl_left_reference(x, 0.5, i) - 3.0 * gl_left_reference(y, 0.5, i)
         assert abs(left - expect) <= 1e-12 * max(1.0, abs(expect))
         right = gl_right(combo, 0.5, i)
-        expect = 2.0 * gl_right(x, 0.5, i) - 3.0 * gl_right(y, 0.5, i)
+        expect = 2.0 * gl_right_reference(x, 0.5, i) - 3.0 * gl_right_reference(y, 0.5, i)
         assert abs(right - expect) <= 1e-12 * max(1.0, abs(expect))
+
+
+KERNEL_CASES = {
+    "t2": lambda t: t * t,
+    "exp2t": lambda t: np.exp(2.0 * t),
+    "random": lambda t: np.random.default_rng(len(t)).standard_normal(len(t)),
+}
+
+
+# the sums take n + 1 node values (the shifted one n): the kernel convolves
+# directly below FFT_MIN_LEN = 384 values, so at n = 382 every sum does, at
+# n = 383 the left and right ones go through the FFT and the shifted one
+# does not, and from n = 384 on all of them do
+@pytest.mark.parametrize("n", [382, 383, 384, 1000, 4000])
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.95])
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_gl_kernel_matches_per_node_sums(n, alpha, name):
+    assert FFT_MIN_LEN == 384
+    mesh = Mesh(0.0, 1.0, n)
+    c = SampledCurve(mesh, KERNEL_CASES[name](mesh.nodes()))
+    # normwise: every sum is bounded by h^-alpha max|x| sum|w|
+    w_abs = np.sum(np.abs(gl_weights(alpha, n).w))
+    tol = 1e-13 * mesh.h**-alpha * np.max(np.abs(c.values)) * w_abs
+    left = [gl_left_reference(c, alpha, i) for i in range(n + 1)]
+    right = [gl_right_reference(c, alpha, i) for i in range(n + 1)]
+    assert np.max(np.abs(gl_left_all(c, alpha) - left)) <= tol
+    assert np.max(np.abs(gl_right_all(c, alpha) - right)) <= tol
+    for i in [*range(0, n, n // 16), n - 1]:
+        assert abs(gl_left(c, alpha, i) - left[i]) <= tol
+        assert abs(gl_right(c, alpha, i) - right[i]) <= tol
+        shifted = gl_shifted_left_reference(c, alpha, i)
+        assert abs(gl_shifted_left(c, alpha, i) - shifted) <= tol
 
 
 def test_gl_shifted_left_zero_and_single_term():
@@ -204,6 +262,16 @@ def test_gl_shifted_left_stencil_bounds():
 # ---------------------------------------------------------------------------
 # Diethelm scheme
 # ---------------------------------------------------------------------------
+
+
+def diethelm_weight(alpha, i, j):
+    """Quadrature weight a_{i,j} of the Diethelm scheme, 0 <= j <= i."""
+    s = 1.0 - alpha
+    if j == 0:
+        return 1.0
+    if j < i:
+        return (j + 1.0) ** s - 2.0 * j**s + (j - 1.0) ** s
+    return (1.0 - alpha) * i ** (-alpha) - i**s + (i - 1.0) ** s
 
 
 def test_diethelm_weights_three_cases():
