@@ -32,10 +32,9 @@ from .operators import (
     Mesh,
     MeshMismatchError,
     SampledCurve,
-    diethelm_caputo,
     diethelm_caputo_all,
-    gl_left,
-    gl_right,
+    gl_left_all,
+    gl_right_all,
     gl_shifted_left,
     gl_weights,
     hadamard_logpow_exact,
@@ -47,7 +46,6 @@ from .operators import (
 from .expansions import (
     DerivativeBundle,
     ExpansionDomainError,
-    HadamardMomentCoeffs,
     MomentCoeffs,
     b_table,
     bound_hadamard,
@@ -65,7 +63,6 @@ from .expansions import (
     moment_coeffs,
     moment_expansion,
     moment_values,
-    moments_vp,
 )
 from .direct import (
     DirectProblem,

@@ -61,6 +61,8 @@ DOMINANCE_SLACK = 1e-8
 
 EXPANSION_METHODS = ("integer", "moment", "atanackovic", "hadamard-moment")
 MESH_METHODS = ("gl", "diethelm")
+#: Methods scored against the Hadamard derivative (derivative, bounds).
+_HADAMARD_METHODS = ("hadamard-moment", "hadamard")
 
 NUMERICAL_ERRORS = (
     NewtonConvergenceError,
@@ -99,16 +101,10 @@ def _write_csv(path: str, header, rows) -> None:
         fh.writelines(line % tuple(row) for row in rows)
 
 
-def _floats(text: str):
-    return [float(tok) for tok in text.replace(",", " ").split()]
-
-
-def _ints(text: str):
-    return [int(tok) for tok in text.replace(",", " ").split()]
-
-
 class _Options:
-    """Merged view of defaults, config-file section, and CLI flags."""
+    """Merged view of defaults, config-file section, and CLI flags.  A
+    config value is parsed with the ``type`` and ``nargs`` of its flag's
+    parser action (lists split at commas and whitespace)."""
 
     def __init__(self, args: argparse.Namespace, section: str):
         self._args = vars(args)
@@ -123,21 +119,18 @@ class _Options:
             if parser.has_section(section):
                 self._cfg = dict(parser.items(section))
 
-    def get(self, name: str, default=None, kind=str):
-        flag = self._args.get(name.replace("-", "_"))
+    def get(self, name: str, default=None):
+        dest = name.replace("-", "_")
+        flag = self._args.get(dest)
         if flag is not None:
             return flag
         if name in self._cfg:
+            action = self._args["actions"][dest]
+            convert = action.type or str
             raw = self._cfg[name]
-            if kind == "floats":
-                return _floats(raw)
-            if kind == "ints":
-                return _ints(raw)
-            if kind == "float":
-                return float(raw)
-            if kind == "int":
-                return int(raw)
-            return raw
+            if action.nargs == "+":
+                return [convert(tok) for tok in raw.replace(",", " ").split()]
+            return convert(raw)
         return default
 
 
@@ -147,8 +140,8 @@ class _Options:
 
 
 def cmd_table_b(opts: _Options) -> tuple:
-    alphas = opts.get("alpha", list(TABLE_ALPHAS), kind="floats")
-    ns = opts.get("N", list(TABLE_NS), kind="ints")
+    alphas = opts.get("alpha", list(TABLE_ALPHAS))
+    ns = opts.get("N", list(TABLE_NS))
     if not alphas or not ns:
         raise UsageError("table-b needs nonempty alpha and N lists")
     if any(not 0.0 < a < 1.0 for a in alphas):
@@ -176,7 +169,7 @@ def _moment_sweep(func, method, exact, alpha, a, grid, Ns, quad_n):
     numerical failure at the first point that could not be evaluated (the
     points list stops there), or None.
     """
-    hadamard = method in ("hadamard-moment", "hadamard")
+    hadamard = method in _HADAMARD_METHODS
     N_max = max(Ns)
     shared, error = [], None
     for t in grid:
@@ -199,8 +192,23 @@ def _moment_sweep(func, method, exact, alpha, a, grid, Ns, quad_n):
         yield N, points, error
 
 
+def _reference(func, method: str, alpha: float) -> tuple:
+    """Interval (a, b) and exact derivative of ``func`` that ``method`` is
+    scored against: the Hadamard one on [1, 2], else the Riemann-Liouville
+    one on [0, 1] (its Caputo form for the Diethelm scheme)."""
+    if method in _HADAMARD_METHODS:
+        if func.hadamard_exact is None:
+            raise UsageError(f"function {func.name!r} has no Hadamard reference")
+        return 1.0, 2.0, lambda t: func.hadamard_exact(alpha, t)
+    if func.rl_exact is None:
+        raise UsageError(f"function {func.name!r} not usable with method {method!r}")
+    if method == "diethelm":
+        return 0.0, 1.0, lambda t: caputo_exact(func, alpha, t)
+    return 0.0, 1.0, lambda t: func.rl_exact(alpha, t)
+
+
 def _quad_n(opts: _Options, default: int) -> int:
-    quad_n = int(opts.get("quad-n", default, kind="int"))
+    quad_n = opts.get("quad-n", default)
     if quad_n < 1:
         raise UsageError(f"--quad-n must be >= 1, got {quad_n}")
     return quad_n
@@ -209,9 +217,9 @@ def _quad_n(opts: _Options, default: int) -> int:
 def cmd_derivative(opts: _Options) -> tuple:
     fname = opts.get("function", "t4")
     method = opts.get("method", "moment")
-    alphas = opts.get("alpha", [0.5], kind="floats")
+    alphas = opts.get("alpha", [0.5])
     quad_n = _quad_n(opts, 2000)
-    points = int(opts.get("points", 100, kind="int"))
+    points = opts.get("points", 100)
     if fname not in CATALOG:
         raise UsageError(f"unknown function id {fname!r} (have {sorted(CATALOG)})")
     if method not in EXPANSION_METHODS + MESH_METHODS:
@@ -220,27 +228,12 @@ def cmd_derivative(opts: _Options) -> tuple:
         )
     alpha = _single_alpha(alphas)
     func = CATALOG[fname]
-
-    if method == "hadamard-moment":
-        a, b = 1.0, 2.0
-        if func.hadamard_exact is None:
-            raise UsageError(f"function {fname!r} has no Hadamard reference")
-        exact = lambda t: func.hadamard_exact(alpha, t)
-    elif method == "diethelm":
-        if func.rl_exact is None:
-            raise UsageError(f"function {fname!r} not usable with method {method!r}")
-        a, b = 0.0, 1.0
-        exact = lambda t: caputo_exact(func, alpha, t)
-    else:
-        if func.rl_exact is None:
-            raise UsageError(f"function {fname!r} not usable with method {method!r}")
-        a, b = 0.0, 1.0
-        exact = lambda t: func.rl_exact(alpha, t)
+    a, b, exact = _reference(func, method, alpha)
 
     rows = []
     failures = []
     if method in EXPANSION_METHODS:
-        sweep = opts.get("N", [1, 2, 3], kind="ints")
+        sweep = opts.get("N", [1, 2, 3])
         if not sweep:
             raise UsageError("derivative needs a nonempty N list")
         if method == "integer":
@@ -265,7 +258,7 @@ def cmd_derivative(opts: _Options) -> tuple:
                     failures.append({"run": f"{method}:{fname}:N={N}", "error": str(exc)})
         header = ("N", "t", "exact", "approx", "abs_error")
     else:
-        sweep = opts.get("n", [100], kind="ints")
+        sweep = opts.get("n", [100])
         if not sweep:
             raise UsageError("derivative needs a nonempty n list")
         for n in sweep:
@@ -290,7 +283,7 @@ def cmd_derivative(opts: _Options) -> tuple:
 
 def cmd_direct(opts: _Options) -> tuple:
     example = opts.get("example", "ex1")
-    tol = float(opts.get("tol", 1e-10, kind="float"))
+    tol = opts.get("tol", 1e-10)
     if example == "ex1":
         problem, linear = example1_problem(), True
         exact = lambda t: t**2
@@ -305,7 +298,7 @@ def cmd_direct(opts: _Options) -> tuple:
         default_ns = [10, 20, 30]
     else:
         raise UsageError(f"unknown example id {example!r} (have ex1, ex2, ex3)")
-    ns = opts.get("n", default_ns, kind="ints")
+    ns = opts.get("n", default_ns)
     if not ns or any(n < 2 for n in ns):
         raise UsageError("direct needs a list of n values >= 2")
 
@@ -318,6 +311,7 @@ def cmd_direct(opts: _Options) -> tuple:
             failures.append({"run": f"{example}:n={n}", "error": str(exc)})
             continue
         tnodes = curve.mesh.nodes()
+        # per node: numpy's array pow rounds some of these 1 ulp differently
         exact_curve = SampledCurve(curve.mesh, np.array([exact(t) for t in tnodes]))
         err = max_error(curve, exact_curve)
         for i, t in enumerate(tnodes):
@@ -338,9 +332,9 @@ def cmd_direct(opts: _Options) -> tuple:
 
 def cmd_indirect(opts: _Options) -> tuple:
     example = opts.get("example", "ex2-moment")
-    alpha = _single_alpha(opts.get("alpha", [0.5], kind="floats"))
-    n_mesh = int(opts.get("n", 400, kind="int"))
-    eps = float(opts.get("eps", 1e-4, kind="float"))
+    alpha = _single_alpha(opts.get("alpha", [0.5]))
+    n_mesh = opts.get("n", 400)
+    eps = opts.get("eps", 1e-4)
     defaults = {
         "ex2-integer": [1, 2, 3, 4],
         "ex2-moment": [2, 4, 8],
@@ -350,7 +344,7 @@ def cmd_indirect(opts: _Options) -> tuple:
         raise UsageError(
             f"unknown example id {example!r} (have {sorted(defaults)})"
         )
-    Ns = opts.get("N", defaults[example], kind="ints")
+    Ns = opts.get("N", defaults[example])
     if not Ns:
         raise UsageError("indirect needs a nonempty N list")
 
@@ -391,10 +385,10 @@ def cmd_indirect(opts: _Options) -> tuple:
 def cmd_bounds(opts: _Options) -> tuple:
     fname = opts.get("function", "t4")
     method = opts.get("method", "integer")
-    alphas = opts.get("alpha", [0.5], kind="floats")
+    alphas = opts.get("alpha", [0.5])
     quad_n = _quad_n(opts, 20000)
-    points = int(opts.get("points", 20, kind="int"))
-    Ns = opts.get("N", list(range(2, 11)), kind="ints")
+    points = opts.get("points", 20)
+    Ns = opts.get("N", list(range(2, 11)))
     if fname not in CATALOG:
         raise UsageError(f"unknown function id {fname!r} (have {sorted(CATALOG)})")
     if method not in ("integer", "moment", "hadamard"):
@@ -403,17 +397,7 @@ def cmd_bounds(opts: _Options) -> tuple:
         raise UsageError("bounds needs a nonempty list of N >= 1")
     alpha = _single_alpha(alphas)
     func = CATALOG[fname]
-
-    if method == "hadamard":
-        if func.hadamard_exact is None:
-            raise UsageError(f"function {fname!r} has no Hadamard reference")
-        a, b = 1.0, 2.0
-        exact = lambda t: func.hadamard_exact(alpha, t)
-    else:
-        if func.rl_exact is None:
-            raise UsageError(f"function {fname!r} not usable with method {method!r}")
-        a, b = 0.0, 1.0
-        exact = lambda t: func.rl_exact(alpha, t)
+    a, b, exact = _reference(func, method, alpha)
 
     grid = _eval_grid(a, b, points)
     rows = []
@@ -467,23 +451,30 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", help="INI config file (section per subcommand)")
-        p.add_argument("--out", help="output CSV path")
-        p.add_argument("--alpha", nargs="+", type=float, help="fractional order(s)")
-        p.add_argument("--N", nargs="+", type=int, help="expansion order list")
+        actions = {}  # dest -> the flag's action, which parses config values too
+
+        def add(flag, **spec):
+            action = p.add_argument(flag, **spec)
+            actions[action.dest] = action
+
+        add("--config", help="INI config file (section per subcommand)")
+        add("--out", help="output CSV path")
+        add("--alpha", nargs="+", type=float, help="fractional order(s)")
+        add("--N", nargs="+", type=int, help="expansion order list")
         if name in ("derivative", "direct"):
-            p.add_argument("--n", nargs="+", type=int, help="mesh size list")
+            add("--n", nargs="+", type=int, help="mesh size list")
         if name == "indirect":
-            p.add_argument("--n", type=int, help="collocation mesh size")
+            add("--n", type=int, help="collocation mesh size")
         if name in ("derivative", "bounds"):
-            p.add_argument("--function", help="test function id")
-            p.add_argument("--method", help="approximation method id")
-            p.add_argument("--quad-n", type=int, help="moment quadrature panels")
-            p.add_argument("--points", type=int, help="evaluation grid size")
+            add("--function", help="test function id")
+            add("--method", help="approximation method id")
+            add("--quad-n", type=int, help="moment quadrature panels")
+            add("--points", type=int, help="evaluation grid size")
         if name in ("direct", "indirect"):
-            p.add_argument("--example", help="catalog example id")
-        p.add_argument("--eps", type=float, help="singular-origin offset")
-        p.add_argument("--tol", type=float, help="nonlinear solver tolerance")
+            add("--example", help="catalog example id")
+        add("--eps", type=float, help="singular-origin offset")
+        add("--tol", type=float, help="nonlinear solver tolerance")
+        p.set_defaults(actions=actions)
     return parser
 
 

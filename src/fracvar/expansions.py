@@ -71,18 +71,6 @@ class MomentCoeffs:
         return float(self.C[p - 2])
 
 
-@dataclass(frozen=True)
-class MomentState:
-    """Moment values V_p (left) or W_p (right) of a function at a single time.
-
-    ``values[p - 2]`` holds the order-p moment, p = 2..N.  Left moments
-    vanish at the interval start, right moments at the interval end.
-    """
-
-    t: float
-    values: np.ndarray
-
-
 def moment_coeffs(alpha: float, N: int) -> MomentCoeffs:
     """Coefficient triple (A, B, {C_p}) for the RL moment expansion.
 
@@ -113,21 +101,6 @@ def moment_coeffs(alpha: float, N: int) -> MomentCoeffs:
         ]
     )
     return MomentCoeffs(alpha, N, A, B, C)
-
-
-#: The Hadamard moment expansion has the same coefficients as the RL one.
-HadamardMomentCoeffs = MomentCoeffs
-
-
-def hadamard_moment_coeffs(alpha: float, N: int) -> MomentCoeffs:
-    """Coefficient triple for the Hadamard moment expansion.
-
-    Its normalization C[p] = Gamma(p+alpha-1) / (Gamma(-alpha) Gamma(1+alpha)
-    (p-1)!) equals the RL one, since Gamma(-alpha) Gamma(1+alpha) =
-    Gamma(2-alpha) Gamma(alpha-1) (both are -pi / sin(pi alpha)), and so do
-    the A and B sums.
-    """
-    return moment_coeffs(alpha, N)
 
 
 def b_table(alphas: Sequence[float], Ns: Sequence[int]) -> np.ndarray:
@@ -276,51 +249,6 @@ def moment_values(
         values[p - 2] = (1 - p) * step * w.sum()
         w *= base
     return values
-
-
-def _moment(x: Callable, p: int, t: float, terminal: float, quad_n: int, **kind) -> float:
-    """The order-p entry of :func:`moment_values`."""
-    if p < 2:
-        raise ValueError(f"moment order p must be >= 2, got {p}")
-    return float(moment_values(x, p, t, terminal, quad_n, **kind)[-1])
-
-
-def moments_vp(
-    x: Callable, p: int, t: float, a: float, quad_n: int
-) -> float:
-    """Left moment V_p(t) = (1-p) * integral_a^t (tau-a)^(p-2) x(tau) dtau.
-
-    Composite trapezoid with ``quad_n`` panels; V_p(a) = 0 exactly.
-    """
-    return _moment(x, p, t, a, quad_n)
-
-
-def moments_wp(
-    x: Callable, p: int, t: float, b: float, quad_n: int
-) -> float:
-    """Right moment W_p(t) = (1-p) * integral_t^b (b-tau)^(p-2) x(tau) dtau."""
-    return _moment(x, p, t, b, quad_n, right=True)
-
-
-def left_moment_state(
-    x: Callable, N: int, t: float, a: float, quad_n: int
-) -> MomentState:
-    """All left moments V_2..V_N of x at time t, as a :class:`MomentState`."""
-    return MomentState(t, moment_values(x, N, t, a, quad_n))
-
-
-def hadamard_moments_vp(
-    x: Callable, p: int, t: float, a: float, quad_n: int
-) -> float:
-    """Logarithmic left moment (1-p) * integral_a^t (ln(tau/a))^(p-2) x(tau)/tau dtau."""
-    return _moment(x, p, t, a, quad_n, hadamard=True)
-
-
-def hadamard_moments_wp(
-    x: Callable, p: int, t: float, b: float, quad_n: int
-) -> float:
-    """Logarithmic right moment (1-p) * integral_t^b (ln(b/tau))^(p-2) x(tau)/tau dtau."""
-    return _moment(x, p, t, b, quad_n, right=True, hadamard=True)
 
 
 def _eval_on(f: Callable, *arrays: np.ndarray) -> np.ndarray:
@@ -496,6 +424,8 @@ def hadamard_expand_moment(
     x(tau)/tau dtau.  This is the Riemann-Liouville moment expansion applied
     in the logarithmic variable s = ln(t/a), where the moment sum enters
     with a minus sign; it is exact (up to quadrature) for x = (ln t)^1.
+    ``hcoeffs`` come from :func:`moment_coeffs`: the Hadamard normalization
+    Gamma(-alpha) Gamma(1+alpha) equals Gamma(2-alpha) Gamma(alpha-1).
     """
     if a <= 0.0:
         raise ValueError(f"Hadamard expansion needs a > 0, got a={a}")

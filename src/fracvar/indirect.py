@@ -179,6 +179,12 @@ class IllConditionedSystemError(RuntimeError):
 #: N >= 6 is above 1e-2.
 REFINEMENT_RTOL = 1e-6
 
+#: ``solve_linear_tpbvp`` power-grades its cell widths toward a + eps with
+#: this exponent: the costate components of the catalog systems carry
+#: t^(2-p-alpha) boundary layers that a uniform grid of desk-scale size
+#: cannot resolve, while quadratic grading does, at no change to the scheme.
+_GRADING = 2.0
+
 
 @dataclass(frozen=True)
 class TpBvpSystem:
@@ -334,17 +340,14 @@ def assemble_tpbvp_example4(alpha: float, N: int) -> TpBvpSystem:
 
 
 def solve_linear_tpbvp(
-    system: TpBvpSystem, mesh: Mesh, eps: float = 0.0, grading: float = 2.0
+    system: TpBvpSystem, mesh: Mesh, eps: float = 0.0
 ) -> list[SampledCurve]:
     """Solve a linear TPBVP by midpoint (box) collocation; one banded LU.
 
     The scheme runs on mesh.n subintervals of [a + eps, b] (eps > 0 keeps a
-    singular origin out of the stencil).  Cell widths are power-graded
-    toward a + eps with exponent ``grading`` (1.0 gives a uniform grid):
-    the costate components of the catalog systems carry t^(2-p-alpha)
-    boundary layers that a uniform grid of desk-scale size cannot resolve,
-    while quadratic grading does, at no change to the scheme itself.
-    The scheme is second-order accurate in the cell widths.
+    singular origin out of the stencil), with cell widths power-graded
+    toward a + eps with exponent ``_GRADING`` (2).  The scheme is
+    second-order accurate in the cell widths.
 
     It collocates the scaled state z = t^(-k) y of ``system.scale_powers``
     (k = 0 when empty),
@@ -375,15 +378,13 @@ def solve_linear_tpbvp(
     """
     if eps < 0.0 or eps >= mesh.b - mesh.a:
         raise ValueError(f"eps must lie in [0, b-a), got {eps!r}")
-    if grading < 1.0:
-        raise ValueError(f"grading exponent must be >= 1, got {grading!r}")
     m = system.dimension
     n = mesh.n
     a_eff = mesh.a + eps
     k = np.array(system.scale_powers or (0.0,) * m)
     if np.any(k != 0.0) and a_eff <= 0.0:
         raise ValueError(f"scaled components need a + eps > 0, got {a_eff!r}")
-    s = a_eff + (mesh.b - a_eff) * (np.arange(n + 1) / n) ** grading
+    s = a_eff + (mesh.b - a_eff) * (np.arange(n + 1) / n) ** _GRADING
     mids = 0.5 * (s[:-1] + s[1:])
     h = np.diff(s)
 
@@ -527,10 +528,13 @@ class HigherOrderLagrangian:
             )
 
 
+#: Step of the central differences in :func:`higher_order_el_residual`.
+_EL_FD_STEP = 1e-3
+
+
 def higher_order_el_residual(
     bundle: DerivativeBundle,
     lagrangian: HigherOrderLagrangian,
-    fd_step: float = 1e-3,
 ) -> Callable:
     """Residual evaluator of the classical higher-order Euler-Lagrange equation
 
@@ -539,7 +543,7 @@ def higher_order_el_residual(
 
     for a curve supplied with analytic derivatives.  Inner partials are
     evaluated analytically along the curve; the outer d^k/dt^k are central
-    binomial finite differences with step ``fd_step`` (O(fd_step^2) accurate),
+    binomial finite differences with step ``_EL_FD_STEP`` (O(step^2) accurate),
     so the curve must be evaluable in a neighborhood of each query point.
     """
     N = lagrangian.order
@@ -556,9 +560,9 @@ def higher_order_el_residual(
         total = along(0, t)
         for k in range(1, N + 1):
             dk = sum(
-                (-1.0) ** j * math.comb(k, j) * along(k, t + (k / 2.0 - j) * fd_step)
+                (-1.0) ** j * math.comb(k, j) * along(k, t + (k / 2.0 - j) * _EL_FD_STEP)
                 for j in range(k + 1)
-            ) / fd_step**k
+            ) / _EL_FD_STEP**k
             total += (-1.0) ** k * dk
         return total
 

@@ -150,18 +150,6 @@ def gl_right_all(curve: SampledCurve, alpha: float) -> np.ndarray:
     return kernel.rmatvec(curve.values) / curve.mesh.h**alpha
 
 
-def gl_left(curve: SampledCurve, alpha: float, i: int) -> float:
-    """Left GL derivative at node i: entry i of :func:`gl_left_all`."""
-    _check_index(curve, i)
-    return float(gl_left_all(curve, alpha)[i])
-
-
-def gl_right(curve: SampledCurve, alpha: float, i: int) -> float:
-    """Right GL derivative at node i: entry i of :func:`gl_right_all`."""
-    _check_index(curve, i)
-    return float(gl_right_all(curve, alpha)[i])
-
-
 def gl_shifted_left(curve: SampledCurve, alpha: float, i: int) -> float:
     """Shifted left GL derivative: h^(-alpha) * sum_{k=0..i} w_k x(t_i - (k-1)h),
     entry i of the left GL sum of the samples x_1..x_n.
@@ -216,14 +204,6 @@ def diethelm_caputo_all(
     d = np.convolve(c, y)[: n + 1]
     d[1:] += (end - c[1:]) * y[0]
     return d * h ** (-alpha) / gamma(2.0 - alpha)
-
-
-def diethelm_caputo(
-    curve: SampledCurve, alpha: float, boundary_derivs, i: int
-) -> float:
-    """Diethelm Caputo derivative at node i: entry i of :func:`diethelm_caputo_all`."""
-    _check_index(curve, i)
-    return float(diethelm_caputo_all(curve, alpha, boundary_derivs)[i])
 
 
 def rl_power_exact(nu: float, alpha: float, t, a: float):

@@ -29,7 +29,6 @@ from fracvar.expansions import (
     expand_integer_left,
     expand_moment_left,
     hadamard_expand_moment,
-    hadamard_moment_coeffs,
     moment_coeffs,
 )
 from fracvar.indirect import (
@@ -44,7 +43,7 @@ from fracvar.indirect import (
 from fracvar.operators import (
     Mesh,
     SampledCurve,
-    diethelm_caputo,
+    diethelm_caputo_all,
     gl_left_all,
     hadamard_logpow_exact,
     l2_error,
@@ -164,11 +163,9 @@ def test_criterion_03_gl_first_order():
 
 def _diethelm_max_interior_error(n):
     curve = SampledCurve.from_function(Mesh(0.0, 1.0, n), lambda t: t * t)
+    d = diethelm_caputo_all(curve, 0.5, [0.0])
     t = curve.mesh.nodes()
-    return max(
-        abs(diethelm_caputo(curve, 0.5, [0.0], i) - rl_power_exact(2.0, 0.5, t[i], 0.0))
-        for i in range(1, n)
-    )
+    return max(abs(d[i] - rl_power_exact(2.0, 0.5, t[i], 0.0)) for i in range(1, n))
 
 
 def test_criterion_04_diethelm_order():
@@ -244,7 +241,7 @@ def test_criterion_05_bound_dominance():
         for name, (x, xd, exact, lmax_env, quad_n) in had_cases.items():
             for alpha in (0.3, 0.5, 0.7):
                 for N in range(2, 11):
-                    hc = hadamard_moment_coeffs(alpha, N)
+                    hc = moment_coeffs(alpha, N)
                     for t in hgrid:
                         err = abs(
                             hadamard_expand_moment(x, xd, hc, t, 1.0, quad_n)

@@ -10,6 +10,8 @@ import pytest
 from fracvar import cli, expansions, indirect
 from fracvar._functions import CATALOG
 from fracvar.cli import main
+from fracvar.direct import example3_minimizer
+from fracvar.operators import Mesh
 from fracvar.specfun import SeriesConvergenceError
 
 
@@ -126,6 +128,16 @@ def test_direct_ex3_converges(tmp_path):
     assert run(["direct", "--example", "ex3", "--n", "30", "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert rows and all(r[6] == "1" for r in rows)
+
+
+def test_direct_exact_column_is_per_node_scalar(tmp_path):
+    # numpy's array pow rounds 25 of these 414 values 1 ulp differently
+    out = tmp_path / "ex3.csv"
+    assert run(["direct", "--example", "ex3", "--n", "413", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    nodes = Mesh(0.0, 1.0, 413).nodes()
+    assert [r[1] for r in rows] == ["%.17g" % t for t in nodes]
+    assert [r[3] for r in rows] == ["%.17g" % example3_minimizer(t) for t in nodes]
 
 
 def test_direct_debug_log_leaves_output_unchanged(tmp_path, capsys, caplog):
@@ -384,7 +396,7 @@ def test_csv_writer_cell_kinds(tmp_path):
 
 def _per_n_approx(method, func, alpha, N, t, quad_n):
     if method in ("hadamard-moment", "hadamard"):
-        coeffs = expansions.hadamard_moment_coeffs(alpha, N)
+        coeffs = expansions.moment_coeffs(alpha, N)
         return expansions.hadamard_expand_moment(func.x, func.xdot, coeffs, t, 1.0, quad_n)
     coeffs = expansions.moment_coeffs(alpha, N)
     if method == "atanackovic":

@@ -19,16 +19,10 @@ from fracvar.expansions import (
     hadamard_expand_integer,
     hadamard_expand_moment,
     hadamard_expand_moment_right,
-    hadamard_moment_coeffs,
-    hadamard_moments_vp,
-    hadamard_moments_wp,
     hadamard_reference,
-    left_moment_state,
     moment_coeffs,
     moment_expansion,
     moment_values,
-    moments_vp,
-    moments_wp,
 )
 from fracvar.expansions import _eval_on
 from fracvar.operators import hadamard_logpow_exact, rl_exp_exact, rl_power_exact
@@ -129,8 +123,6 @@ def test_hadamard_coeffs_match_rl_values():
         assert A == pytest.approx(rl.A, rel=1e-12)
         assert B == pytest.approx(rl.B, rel=1e-12)
         assert np.allclose(C, rl.C, rtol=1e-12)
-        had = hadamard_moment_coeffs(alpha, 6)
-        assert (had.A, had.B) == (rl.A, rl.B) and np.array_equal(had.C, rl.C)
 
 
 def test_b_table_spot_values():
@@ -250,18 +242,12 @@ def oracle_hadamard_moments_wp(x, p, t, b, quad_n):
     return float((1 - p) * np.trapezoid(integrand, dx=(b - t) / quad_n))
 
 
-# (oracle, per-order function, kernel keywords, terminal, interior points)
+# (oracle, kernel keywords, terminal, interior points)
 MOMENT_KINDS = (
-    (oracle_moments_vp, moments_vp, {}, 0.0, (0.3, 1.0)),
-    (oracle_moments_wp, moments_wp, {"right": True}, 1.0, (0.0, 0.55)),
-    (oracle_hadamard_moments_vp, hadamard_moments_vp, {"hadamard": True}, 1.0, (1.3, 2.0)),
-    (
-        oracle_hadamard_moments_wp,
-        hadamard_moments_wp,
-        {"right": True, "hadamard": True},
-        2.0,
-        (1.0, 1.45),
-    ),
+    (oracle_moments_vp, {}, 0.0, (0.3, 1.0)),
+    (oracle_moments_wp, {"right": True}, 1.0, (0.0, 0.55)),
+    (oracle_hadamard_moments_vp, {"hadamard": True}, 1.0, (1.3, 2.0)),
+    (oracle_hadamard_moments_wp, {"right": True, "hadamard": True}, 2.0, (1.0, 1.45)),
 )
 
 
@@ -272,7 +258,7 @@ def test_moment_kernel_matches_per_order_quadrature(quad_n):
         lambda t: np.exp(2.0 * t),  # evaluated on the whole grid at once
         lambda t: 1.0 + math.sin(3.0 * t) ** 2,  # scalar only: one call per point
     )
-    for oracle, per_order, kind, terminal, points in MOMENT_KINDS:
+    for oracle, kind, terminal, points in MOMENT_KINDS:
         for x in functions:
             for t in points:
                 values = moment_values(x, 12, t, terminal, quad_n, **kind)
@@ -280,7 +266,6 @@ def test_moment_kernel_matches_per_order_quadrature(quad_n):
                 for p in range(2, 13):
                     ref = oracle(x, p, t, terminal, quad_n)
                     assert abs(values[p - 2] - ref) <= 1e-13 * abs(ref), (kind, t, p)
-                    assert per_order(x, p, t, terminal, quad_n) == values[p - 2]
 
 
 def test_moment_kernel_is_zero_at_terminal():
@@ -290,10 +275,9 @@ def test_moment_kernel_is_zero_at_terminal():
         calls.append(t)
         return 1.0
 
-    for _, per_order, kind, terminal, _ in MOMENT_KINDS:
+    for _, kind, terminal, _ in MOMENT_KINDS:
         values = moment_values(x, 12, terminal, terminal, 100, **kind)
         assert values.shape == (11,) and np.all(values == 0.0)
-        assert all(per_order(x, p, terminal, terminal, 100) == 0.0 for p in (2, 5, 12))
     assert not calls
 
 
@@ -334,29 +318,27 @@ def test_moment_expansion_uses_the_moment_prefix():
 
 
 def test_moments_vp_closed_forms():
-    assert moments_vp(lambda t: 1.0, 2, 0.7, 0.0, 100) == pytest.approx(-0.7, rel=1e-13)
-    assert moments_vp(lambda t: t, 2, 0.6, 0.0, 100) == pytest.approx(-0.18, rel=1e-12)
-    assert moments_vp(lambda t: t**3, 5, 0.0, 0.0, 100) == 0.0
+    assert moment_values(lambda t: 1.0, 2, 0.7, 0.0, 100)[0] == pytest.approx(-0.7, rel=1e-13)
+    assert moment_values(lambda t: t, 2, 0.6, 0.0, 100)[0] == pytest.approx(-0.18, rel=1e-12)
+    assert moment_values(lambda t: t**3, 5, 0.0, 0.0, 100)[3] == 0.0
 
 
 def test_moments_wp_vanish_at_right_end():
-    assert moments_wp(lambda t: t, 3, 1.0, 1.0, 100) == 0.0
-    assert hadamard_moments_wp(lambda t: t, 3, 2.0, 2.0, 100) == 0.0
+    assert moment_values(lambda t: t, 3, 1.0, 1.0, 100, right=True)[1] == 0.0
+    assert moment_values(lambda t: t, 3, 2.0, 2.0, 100, right=True, hadamard=True)[1] == 0.0
 
 
 def test_left_moment_state_initial_condition():
-    st = left_moment_state(lambda t: math.sin(t), 5, 0.0, 0.0, 50)
-    assert st.values.shape == (4,)
-    assert np.all(st.values == 0.0)
+    values = moment_values(lambda t: math.sin(t), 5, 0.0, 0.0, 50)
+    assert values.shape == (4,)
+    assert np.all(values == 0.0)
 
 
 def test_moment_args_validated():
     with pytest.raises(ValueError):
-        moments_vp(lambda t: t, 1, 0.5, 0.0, 100)
+        moment_values(lambda t: t, 2, 0.5, 0.0, 0)
     with pytest.raises(ValueError):
-        moments_vp(lambda t: t, 2, 0.5, 0.0, 0)
-    with pytest.raises(ValueError):
-        hadamard_moments_vp(lambda t: t, 2, 2.0, 0.0, 100)
+        moment_values(lambda t: t, 2, 2.0, 0.0, 100, hadamard=True)
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +500,8 @@ def test_hadamard_integer_validates_direction():
 
 
 def test_hadamard_moment_lnt_is_exact_up_to_quadrature():
-    hc2 = hadamard_moment_coeffs(0.5, 2)
-    hc8 = hadamard_moment_coeffs(0.5, 8)
+    hc2 = moment_coeffs(0.5, 2)
+    hc8 = moment_coeffs(0.5, 8)
     for t in (1.2, 1.8, 2.0):
         exact = hadamard_logpow_exact(1.0, 0.5, t)
         for hc in (hc2, hc8):
@@ -532,13 +514,13 @@ def test_hadamard_moment_t4_error_decreases():
     exact = hadamard_t4_exact(0.5, 2.0)
     errs = []
     for N in (2, 4, 6):
-        hc = hadamard_moment_coeffs(0.5, N)
+        hc = moment_coeffs(0.5, N)
         errs.append(abs(hadamard_expand_moment(x, xd, hc, 2.0, 1.0, QUAD_N) - exact))
     assert errs[0] > errs[1] > errs[2]
 
 
 def test_hadamard_moment_zero_function():
-    hc = hadamard_moment_coeffs(0.5, 3)
+    hc = moment_coeffs(0.5, 3)
     assert hadamard_expand_moment(lambda t: 0.0, lambda t: 0.0, hc, 2.0, 1.0, 100) == 0.0
     assert (
         hadamard_expand_moment_right(lambda t: 0.0, lambda t: 0.0, hc, 1.5, 2.0, 100)
@@ -551,7 +533,7 @@ def test_hadamard_moment_right_mirror():
     # derivative of x(ab/tau) at ab/t; check on [1, e] with x = ln
     a, b = 1.0, math.e
     t = 1.5
-    hc = hadamard_moment_coeffs(0.5, 5)
+    hc = moment_coeffs(0.5, 5)
     left = hadamard_expand_moment(math.log, lambda s: 1.0 / s, hc, t, a, 20000)
     xr = lambda s: math.log(a * b / s)
     xrd = lambda s: -1.0 / s
@@ -622,7 +604,7 @@ def test_bound_hadamard_zero_cases():
 def test_bound_hadamard_dominates_lnt():
     # x = ln t has x' + tau x'' = 0, so the bound is 0 and the expansion must
     # agree with the exact derivative to quadrature accuracy
-    hc = hadamard_moment_coeffs(0.5, 8)
+    hc = moment_coeffs(0.5, 8)
     for t in np.linspace(1.1, 2.0, 10):
         err = abs(
             hadamard_expand_moment(math.log, lambda s: 1.0 / s, hc, t, 1.0, 20000)
@@ -639,7 +621,7 @@ def test_bound_hadamard_dominates_lnt():
 def test_expansions_linear_in_function():
     rng = np.random.default_rng(11)
     coeffs = moment_coeffs(0.5, 4)
-    hc = hadamard_moment_coeffs(0.5, 4)
+    hc = moment_coeffs(0.5, 4)
     for _ in range(3):
         a, b = rng.uniform(-2, 2, 2)
         f, fd = lambda t: t**2, lambda t: 2.0 * t

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fracvar.expansions import DerivativeBundle, integer_coefficient, moment_coeffs, moments_vp
+from fracvar.expansions import DerivativeBundle, integer_coefficient, moment_coeffs, moment_values
 from fracvar.indirect import (
     HigherOrderLagrangian,
     IllConditionedSystemError,
@@ -20,7 +20,7 @@ from fracvar.indirect import (
     solve_example2_moment_closed,
     solve_linear_tpbvp,
 )
-from fracvar.operators import Mesh, SampledCurve, gl_left, l2_error
+from fracvar.operators import Mesh, SampledCurve, gl_left_all, l2_error
 from fracvar.specfun import gamma
 
 ALPHA = 0.5
@@ -68,8 +68,9 @@ def test_exact_solution_example4_has_unit_gl_derivative():
     curve = SampledCurve.from_function(
         Mesh(0.0, 1.0, n), lambda t: exact_solution_example4(ALPHA, t)
     )
-    assert gl_left(curve, ALPHA, n // 2) == pytest.approx(1.0, abs=0.02)
-    assert gl_left(curve, ALPHA, n) == pytest.approx(1.0, abs=0.02)
+    d = gl_left_all(curve, ALPHA)
+    assert d[n // 2] == pytest.approx(1.0, abs=0.02)
+    assert d[n] == pytest.approx(1.0, abs=0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +215,7 @@ def test_tpbvp_example4_exact_solution_near_solves_system():
         system = assemble_tpbvp_example4(ALPHA, N)
         y = np.zeros(2 * N)
         y[0] = exact_solution_example4(ALPHA, t)
-        for p in range(2, N + 1):
-            y[p - 1] = moments_vp(
-                lambda s: exact_solution_example4(ALPHA, s), p, t, 0.0, 4000
-            )
+        y[1:N] = moment_values(lambda s: exact_solution_example4(ALPHA, s), N, t, 0.0, 4000)
         dy = system.rhs(t, y)
         d = 1e-6
         xdot = (

@@ -9,11 +9,8 @@ from fracvar.operators import (
     Mesh,
     MeshMismatchError,
     SampledCurve,
-    diethelm_caputo,
     diethelm_caputo_all,
-    gl_left,
     gl_left_all,
-    gl_right,
     gl_right_all,
     gl_shifted_left,
     gl_weights,
@@ -123,12 +120,12 @@ def test_gl_weights_validation():
 
 def test_gl_left_constant_at_origin():
     c = curve_of(lambda t: 3.0, n=10)
-    assert gl_left(c, 0.5, 0) == pytest.approx(3.0 * c.mesh.h**-0.5, rel=1e-14)
+    assert gl_left_all(c, 0.5)[0] == pytest.approx(3.0 * c.mesh.h**-0.5, rel=1e-14)
 
 
 def test_gl_left_zero_curve():
     c = curve_of(lambda t: 0.0, n=10)
-    assert all(gl_left(c, 0.5, i) == 0.0 for i in range(11))
+    assert np.all(gl_left_all(c, 0.5) == 0.0)
 
 
 def test_gl_left_first_order_convergence_at_t1():
@@ -136,7 +133,7 @@ def test_gl_left_first_order_convergence_at_t1():
     errors = []
     for n in (100, 200):
         c = curve_of(lambda t: t * t, n=n)
-        errors.append(abs(gl_left(c, 0.5, n) - 2.0 / GAMMA_25))
+        errors.append(abs(gl_left_all(c, 0.5)[n] - 2.0 / GAMMA_25))
     assert 1.6 <= errors[0] / errors[1] <= 2.4
 
 
@@ -167,17 +164,17 @@ def test_gl_right_mirror_of_left():
     for n in (100, 200):
         c = curve_of(lambda t: (1.0 - t) ** 2, n=n)
         cl = curve_of(lambda t: t * t, n=n)
-        assert gl_right(c, 0.5, 0) == pytest.approx(
+        assert gl_right_all(c, 0.5)[0] == pytest.approx(
             gl_left_reference(cl, 0.5, n), rel=1e-12
         )
-        assert gl_left(cl, 0.5, n) == pytest.approx(
+        assert gl_left_all(cl, 0.5)[n] == pytest.approx(
             gl_right_reference(c, 0.5, 0), rel=1e-12
         )
 
 
 def test_gl_right_constant_at_right_end():
     c = curve_of(lambda t: 2.0, n=10)
-    assert gl_right(c, 0.5, 10) == pytest.approx(2.0 * c.mesh.h**-0.5, rel=1e-14)
+    assert gl_right_all(c, 0.5)[10] == pytest.approx(2.0 * c.mesh.h**-0.5, rel=1e-14)
 
 
 def test_gl_right_all_matches_pointwise():
@@ -193,11 +190,12 @@ def test_gl_linearity():
     x = SampledCurve(mesh, rng.standard_normal(31))
     y = SampledCurve(mesh, rng.standard_normal(31))
     combo = SampledCurve(mesh, 2.0 * x.values - 3.0 * y.values)
+    left_all, right_all = gl_left_all(combo, 0.5), gl_right_all(combo, 0.5)
     for i in (0, 10, 30):
-        left = gl_left(combo, 0.5, i)
+        left = left_all[i]
         expect = 2.0 * gl_left_reference(x, 0.5, i) - 3.0 * gl_left_reference(y, 0.5, i)
         assert abs(left - expect) <= 1e-12 * max(1.0, abs(expect))
-        right = gl_right(combo, 0.5, i)
+        right = right_all[i]
         expect = 2.0 * gl_right_reference(x, 0.5, i) - 3.0 * gl_right_reference(y, 0.5, i)
         assert abs(right - expect) <= 1e-12 * max(1.0, abs(expect))
 
@@ -228,8 +226,6 @@ def test_gl_kernel_matches_per_node_sums(n, alpha, name):
     assert np.max(np.abs(gl_left_all(c, alpha) - left)) <= tol
     assert np.max(np.abs(gl_right_all(c, alpha) - right)) <= tol
     for i in [*range(0, n, n // 16), n - 1]:
-        assert abs(gl_left(c, alpha, i) - left[i]) <= tol
-        assert abs(gl_right(c, alpha, i) - right[i]) <= tol
         shifted = gl_shifted_left_reference(c, alpha, i)
         assert abs(gl_shifted_left(c, alpha, i) - shifted) <= tol
 
@@ -291,30 +287,12 @@ def test_diethelm_convergence_order(nu):
     # t^nu with x(0) = 0: Caputo equals RL; theoretical order is 2 - alpha = 1.5
     def max_err(n):
         c = curve_of(lambda t: t**nu, n=n)
+        d = diethelm_caputo_all(c, 0.5, [0.0])
         t = c.mesh.nodes()
-        return max(
-            abs(
-                diethelm_caputo(c, 0.5, [0.0], i)
-                - rl_power_exact(float(nu), 0.5, t[i], 0.0)
-            )
-            for i in range(1, n)
-        )
+        return max(abs(d[i] - rl_power_exact(float(nu), 0.5, t[i], 0.0)) for i in range(1, n))
 
     order = math.log2(max_err(100) / max_err(200))
     assert order >= 1.3
-
-
-def test_diethelm_validates_alpha_and_derivs():
-    c = curve_of(lambda t: t, n=10)
-    with pytest.raises(ValueError):
-        diethelm_caputo(c, 1.0, [0.0], 5)
-    with pytest.raises(ValueError):
-        diethelm_caputo(c, 2.5, [0.0], 5)
-    # weight table is singular on (1, 2); rejected with an explanatory error
-    with pytest.raises(ValueError):
-        diethelm_caputo(c, 1.5, [0.0, 0.0], 5)
-    with pytest.raises(ValueError):
-        diethelm_caputo(c, 0.5, [0.0, 0.0], 5)  # too many boundary derivatives
 
 
 def diethelm_reference(curve, alpha, x_a):
@@ -353,17 +331,10 @@ def test_diethelm_all_matches_reference_loop(alpha, name):
         )
 
 
-def test_diethelm_pointwise_is_entry_of_all_node():
-    c = curve_of(lambda t: math.exp(2.0 * t), n=40)
-    d = diethelm_caputo_all(c, 0.3, [1.0])
-    assert [diethelm_caputo(c, 0.3, [1.0], i) for i in range(41)] == d.tolist()
-    with pytest.raises(IndexError):
-        diethelm_caputo(c, 0.3, [1.0], 41)
-
-
 def test_diethelm_all_validates_alpha_and_derivs():
     c = curve_of(lambda t: t, n=10)
-    for alpha in (0.0, 1.0, 1.5):
+    # the weight table is singular on (1, 2); rejected with an explanatory error
+    for alpha in (0.0, 1.0, 1.5, 2.5):
         with pytest.raises(ValueError):
             diethelm_caputo_all(c, alpha, [0.0])
     for derivs in ([], [0.0, 0.0], [[0.0]]):
@@ -440,7 +411,7 @@ def test_rl_exp_exact_golden():
 def test_rl_exp_exact_vs_gl():
     n = 5000  # h = 1e-4 on [0, 0.5]
     c = SampledCurve.from_function(Mesh(0.0, 0.5, n), math.exp)
-    assert abs(gl_left(c, 0.5, n) - rl_exp_exact(1.0, 0.5, 0.5)) < 2e-3
+    assert abs(gl_left_all(c, 0.5)[n] - rl_exp_exact(1.0, 0.5, 0.5)) < 2e-3
 
 
 def test_hadamard_logpow_exact_values():
