@@ -331,10 +331,22 @@ def test_diethelm_all_matches_reference_loop(alpha, name):
         )
 
 
+def test_diethelm_validates_alpha_and_derivs():
+    c = curve_of(lambda t: t, n=10)
+    with pytest.raises(ValueError):
+        diethelm_caputo_all(c, 1.0, [0.0])
+    with pytest.raises(ValueError):
+        diethelm_caputo_all(c, 2.5, [0.0])
+    # weight table is singular on (1, 2); rejected with an explanatory error
+    with pytest.raises(ValueError):
+        diethelm_caputo_all(c, 1.5, [0.0, 0.0])
+    with pytest.raises(ValueError):
+        diethelm_caputo_all(c, 0.5, [0.0, 0.0])  # too many boundary derivatives
+
+
 def test_diethelm_all_validates_alpha_and_derivs():
     c = curve_of(lambda t: t, n=10)
-    # the weight table is singular on (1, 2); rejected with an explanatory error
-    for alpha in (0.0, 1.0, 1.5, 2.5):
+    for alpha in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError):
             diethelm_caputo_all(c, alpha, [0.0])
     for derivs in ([], [0.0, 0.0], [[0.0]]):
