@@ -13,6 +13,7 @@ Subpackages:
                  lower-triangular Toeplitz kernel, right-sided by reflection),
                  the Diethelm scheme, exact reference derivatives, error norms
 * ``expansions`` integer-order and moment expansions with truncation bounds
+                 (``expand_integer``, ``expand_moment``; flags ``right``, ``hadamard``)
 * ``direct``     Euler-like direct method and the catalog problems (the dedicated
                  system assemblies that cross-check it are test oracles)
 * ``indirect``   expansion-based reductions, closed forms, linear TPBVP solver
@@ -51,15 +52,10 @@ from .expansions import (
     bound_hadamard,
     bound_integer,
     bound_moment,
-    expand_atanackovic,
     expand_caputo_left,
-    expand_integer_left,
-    expand_integer_right,
-    expand_moment_left,
-    expand_moment_right,
+    expand_integer,
+    expand_moment,
     hadamard_expand_integer,
-    hadamard_expand_moment,
-    hadamard_expand_moment_right,
     moment_coeffs,
     moment_expansion,
     moment_values,

@@ -23,7 +23,6 @@ import argparse
 import configparser
 import csv
 import json
-import math
 import sys
 from typing import Optional
 
@@ -128,9 +127,12 @@ class _Options:
             action = self._args["actions"][dest]
             convert = action.type or str
             raw = self._cfg[name]
-            if action.nargs == "+":
-                return [convert(tok) for tok in raw.replace(",", " ").split()]
-            return convert(raw)
+            try:
+                if action.nargs == "+":
+                    return [convert(tok) for tok in raw.replace(",", " ").split()]
+                return convert(raw)
+            except ValueError:
+                raise UsageError(f"bad value for {name}: {raw!r}") from None
         return default
 
 
@@ -162,32 +164,29 @@ def _eval_grid(a: float, b: float, points: int) -> np.ndarray:
 def _moment_sweep(func, method, exact, alpha, a, grid, Ns, quad_n):
     """Moment-route approximations at each grid point for each N of a sweep.
 
-    x(t), x'(t), the moments at max(Ns) and exact(t) are computed once per
-    point and shared; each N evaluates the expansion formula on the moment
-    prefix it uses (the Hadamard expansion has the RL coefficients).  Yields
-    (N, [(t, approx, exact), ...], error) in sweep order, where error is the
-    numerical failure at the first point that could not be evaluated (the
-    points list stops there), or None.
+    A point's s, x(t) and dx/ds, its moments at max(Ns) and exact(t) are
+    computed once and shared; each N evaluates the expansion formula on the
+    moment prefix it uses.  Yields (N, [(t, approx, exact), ...], error) in
+    sweep order, where error is the numerical failure at the first point
+    that could not be evaluated (the points list stops there), or None.
     """
     hadamard = method in _HADAMARD_METHODS
+    xdot = None if method == "atanackovic" else func.xdot
     N_max = max(Ns)
     shared, error = [], None
     for t in grid:
         try:
+            point = expansions._moment_point(func.x, xdot, t, a, right=False, hadamard=hadamard)
             moments = expansions.moment_values(func.x, N_max, t, a, quad_n, hadamard=hadamard)
-            if hadamard:
-                s, xs = math.log(t / a), t * float(func.xdot(t))
-            else:
-                s, xs = t - a, None if method == "atanackovic" else float(func.xdot(t))
-            shared.append((t, s, float(func.x(t)), xs, moments, exact(t)))
+            shared.append((t, point, moments, exact(t)))
         except NUMERICAL_ERRORS as exc:
             error = exc
             break
     for N in Ns:
         coeffs = expansions.moment_coeffs(alpha, N)
         points = [
-            (t, expansions.moment_expansion(coeffs, s, x_t, xs, moments), ex)
-            for t, s, x_t, xs, moments, ex in shared
+            (t, expansions.moment_expansion(coeffs, *point, moments), ex)
+            for t, point, moments, ex in shared
         ]
         yield N, points, error
 
@@ -246,7 +245,7 @@ def cmd_derivative(opts: _Options) -> tuple:
             for N in sweep:
                 try:
                     for t in grid:
-                        approx = expansions.expand_integer_left(func.bundle, alpha, N, t, a)
+                        approx = expansions.expand_integer(func.bundle, alpha, N, t, a)
                         ex = exact(t)
                         rows.append((N, t, ex, approx, abs(approx - ex)))
                 except NUMERICAL_ERRORS as exc:
@@ -411,7 +410,7 @@ def cmd_bounds(opts: _Options) -> tuple:
         for N in Ns:
             try:
                 for t in grid:
-                    approx = expansions.expand_integer_left(func.bundle, alpha, N, t, a)
+                    approx = expansions.expand_integer(func.bundle, alpha, N, t, a)
                     bound = expansions.bound_integer(func.integer_m(N, t), alpha, N, t, a)
                     record(N, t, approx, exact(t), bound)
             except NUMERICAL_ERRORS as exc:
@@ -459,12 +458,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
         add("--config", help="INI config file (section per subcommand)")
         add("--out", help="output CSV path")
-        add("--alpha", nargs="+", type=float, help="fractional order(s)")
-        add("--N", nargs="+", type=int, help="expansion order list")
+        if name != "direct":
+            add("--alpha", nargs="+", type=float, help="fractional order(s)")
+            add("--N", nargs="+", type=int, help="expansion order list")
         if name in ("derivative", "direct"):
             add("--n", nargs="+", type=int, help="mesh size list")
         if name == "indirect":
             add("--n", type=int, help="collocation mesh size")
+            add("--eps", type=float, help="singular-origin offset")
         if name in ("derivative", "bounds"):
             add("--function", help="test function id")
             add("--method", help="approximation method id")
@@ -472,8 +473,8 @@ def _build_parser() -> argparse.ArgumentParser:
             add("--points", type=int, help="evaluation grid size")
         if name in ("direct", "indirect"):
             add("--example", help="catalog example id")
-        add("--eps", type=float, help="singular-origin offset")
-        add("--tol", type=float, help="nonlinear solver tolerance")
+        if name == "direct":
+            add("--tol", type=float, help="nonlinear solver tolerance")
         p.set_defaults(actions=actions)
     return parser
 

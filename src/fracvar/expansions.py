@@ -4,7 +4,8 @@ Two families are provided, for left/right Riemann-Liouville, Caputo, and
 Hadamard derivatives of order alpha in (0, 1):
 
 * the integer-order family, a truncated series in the derivatives
-  x', x'', ..., x^(N) of the function, valid for analytic functions;
+  x', x'', ..., x^(N) of the function, valid for analytic functions
+  (:func:`expand_integer`; Hadamard: :func:`hadamard_expand_integer`);
 
 * the moment family, which trades higher derivatives for the weighted
   integrals ("moments")
@@ -13,13 +14,13 @@ Hadamard derivatives of order alpha in (0, 1):
 
   so only x, x' and quadratures of x appear.  The coefficients A(alpha, N),
   B(alpha, N) and C(alpha, p) are fixed gamma-ratio sums; B decays slowly in
-  N and must not be dropped (the B-omitted variant is provided only for
-  comparison, and is documented as inferior).
+  N and must not be dropped (``xdot=None`` does, for comparison only).
 
 All moments of one function at one time come from a single quadrature pass
 (:func:`moment_values`), and every moment expansion, left or right,
-Riemann-Liouville or Hadamard, evaluates the one formula
-:func:`moment_expansion`.
+Riemann-Liouville or Hadamard, is :func:`expand_moment` with the flags
+``right`` (a reflection) and ``hadamard`` (a change of variable) of
+:func:`moment_values`, around the one formula :func:`moment_expansion`.
 
 Truncation-error bounds for both families (and the Hadamard analogue) are
 implemented as callable dominance envelopes.
@@ -148,41 +149,31 @@ def integer_coefficient(alpha: float, k: int) -> float:
     return sign * alpha / (math.factorial(k) * (k - alpha) * gamma(1.0 - alpha))
 
 
-def expand_integer_left(
-    bundle: DerivativeBundle, alpha: float, N: int, t: float, a: float
+def expand_integer(
+    bundle: DerivativeBundle, alpha: float, N: int, t: float, terminal: float, right: bool = False
 ) -> float:
-    """Truncated integer-order expansion of the left RL derivative:
+    """Truncated integer-order expansion of the left RL derivative, or with
+    ``right=True`` of the right one, its reflection (``terminal`` a or b):
 
-        sum_{k=0..N} (-1)^(k-1) alpha x^(k)(t) / (k! (k-alpha) Gamma(1-alpha))
-            * (t-a)^(k-alpha).
+        sum_{k=0..N} sign^k integer_coefficient(alpha, k) x^(k)(t) s^(k-alpha)
 
+    with s = t-a, sign = +1 on the left and s = b-t, sign = -1 on the right.
     Exact whenever the derivatives of order N+1 and higher vanish.
     """
-    if not t > a:
-        raise ExpansionDomainError(f"left expansion needs t > a, got t={t}, a={a}")
+    _check_terminal(t, terminal, right)
     _check_order(bundle, N)
+    sign, s = (-1, terminal - t) if right else (1, t - terminal)
     return sum(
-        integer_coefficient(alpha, k) * bundle.deriv(k, t) * (t - a) ** (k - alpha)
+        sign**k * integer_coefficient(alpha, k) * bundle.deriv(k, t) * s ** (k - alpha)
         for k in range(N + 1)
     )
 
 
-def expand_integer_right(
-    bundle: DerivativeBundle, alpha: float, N: int, t: float, b: float
-) -> float:
-    """Truncated integer-order expansion of the right RL derivative, the left
-    one reflected:
-
-        sum_{k=0..N} (-1)^k integer_coefficient(alpha, k) x^(k)(t) (b-t)^(k-alpha).
-    """
-    if not t < b:
-        raise ExpansionDomainError(f"right expansion needs t < b, got t={t}, b={b}")
-    _check_order(bundle, N)
-    return sum(
-        (-1) ** k * integer_coefficient(alpha, k) * bundle.deriv(k, t)
-        * (b - t) ** (k - alpha)
-        for k in range(N + 1)
-    )
+def _check_terminal(t: float, terminal: float, right: bool) -> None:
+    if right and not t < terminal:
+        raise ExpansionDomainError(f"right expansion needs t < b, got t={t}, b={terminal}")
+    if not right and not t > terminal:
+        raise ExpansionDomainError(f"left expansion needs t > a, got t={t}, a={terminal}")
 
 
 def _check_order(bundle: DerivativeBundle, N: int) -> None:
@@ -280,66 +271,70 @@ def moment_expansion(
     x_t: float,
     xs_t: Optional[float],
     moments: Sequence[float],
-    sign: float = 1.0,
 ) -> float:
     """The moment-expansion formula that every moment expansion evaluates:
 
-        A s^(-alpha) x + sign B s^(1-alpha) x_s
-            - sum_{p=2..N} C_p s^(1-p-alpha) V_p
+        A s^(-alpha) x + B s^(1-alpha) dx/ds - sum_{p=2..N} C_p s^(1-p-alpha) V_p
 
     with N = ``coeffs.N`` and V_p = ``moments[p - 2]``.  Entries past N - 1
     are not used, so moments computed once at the largest N of a sweep serve
-    every smaller N.  s is t-a or b-t (Riemann-Liouville), ln(t/a) or ln(b/t)
-    (Hadamard), and must be positive; ``xs_t`` is x'(t) or t x'(t), and None
-    drops the B term; ``sign`` is +1 on the left and -1 on the right.
+    every smaller N.  s > 0 and ``xs_t`` = dx/ds (None drops the B term)
+    are chosen by the flags of :func:`expand_moment`.
     """
     if len(moments) < coeffs.N - 1:
         raise ValueError(f"order {coeffs.N} needs {coeffs.N - 1} moments, got {len(moments)}")
     al = coeffs.alpha
     out = coeffs.A * s ** (-al) * x_t
     if xs_t is not None:
-        out += sign * coeffs.B * s ** (1.0 - al) * xs_t
+        out += coeffs.B * s ** (1.0 - al) * xs_t
     for p, (c, v) in enumerate(zip(coeffs.C, moments), start=2):
         out -= c * s ** (1.0 - p - al) * v
     return float(out)
 
 
-def expand_moment_left(
+def _moment_point(
+    x: Callable, xdot: Optional[Callable], t: float, terminal: float, right: bool, hadamard: bool
+) -> tuple:
+    """The arguments (s, x(t), dx/ds) of :func:`moment_expansion` at t."""
+    lo, hi = (t, terminal) if right else (terminal, t)
+    if hadamard and lo <= 0.0:
+        raise ValueError(f"Hadamard expansion needs a positive interval, got [{lo}, {hi}]")
+    _check_terminal(t, terminal, right)
+    s = math.log(hi / lo) if hadamard else hi - lo
+    if xdot is None:
+        return s, float(x(t)), None
+    xs = t * float(xdot(t)) if hadamard else float(xdot(t))
+    return s, float(x(t)), -xs if right else xs
+
+
+def expand_moment(
     x: Callable,
-    xdot: Callable,
+    xdot: Optional[Callable],
     coeffs: MomentCoeffs,
     t: float,
-    a: float,
+    terminal: float,
     quad_n: int,
+    right: bool = False,
+    hadamard: bool = False,
 ) -> float:
-    """Moment expansion of the left RL derivative:
+    """Moment expansion (:func:`moment_expansion`) of the left or right,
+    Riemann-Liouville or Hadamard derivative at t, with the moments of
+    :func:`moment_values` under the same flags and ``terminal`` the a or b:
 
-        A (t-a)^(-alpha) x(t) + B (t-a)^(1-alpha) x'(t)
-            - sum_{p=2..N} C_p (t-a)^(1-p-alpha) V_p(t).
+        left RL (default)     s = t-a,      dx/ds = x'(t)
+        right RL (right)      s = b-t,      dx/ds = -x'(t)
+        left Hadamard         s = ln(t/a),  dx/ds = t x'(t)
+        right Hadamard        s = ln(b/t),  dx/ds = -t x'(t)
+
+    The Hadamard form is the RL one in the variable s (exact up to quadrature
+    for x = ln t) with the same ``coeffs``: its normalization Gamma(-alpha)
+    Gamma(1+alpha) equals Gamma(2-alpha) Gamma(alpha-1).  ``xdot=None`` drops
+    the B term, for comparison only: B(alpha, N) decays too slowly in N to
+    ignore, especially as alpha approaches 1.
     """
-    if not t > a:
-        raise ExpansionDomainError(f"left expansion needs t > a, got t={t}, a={a}")
-    moments = moment_values(x, coeffs.N, t, a, quad_n)
-    return moment_expansion(coeffs, t - a, float(x(t)), float(xdot(t)), moments)
-
-
-def expand_moment_right(
-    x: Callable,
-    xdot: Callable,
-    coeffs: MomentCoeffs,
-    t: float,
-    b: float,
-    quad_n: int,
-) -> float:
-    """Moment expansion of the right RL derivative:
-
-        A (b-t)^(-alpha) x(t) - B (b-t)^(1-alpha) x'(t)
-            - sum_{p=2..N} C_p (b-t)^(1-p-alpha) W_p(t).
-    """
-    if not t < b:
-        raise ExpansionDomainError(f"right expansion needs t < b, got t={t}, b={b}")
-    moments = moment_values(x, coeffs.N, t, b, quad_n, right=True)
-    return moment_expansion(coeffs, b - t, float(x(t)), float(xdot(t)), moments, sign=-1.0)
+    s, x_t, xs_t = _moment_point(x, xdot, t, terminal, right, hadamard)
+    moments = moment_values(x, coeffs.N, t, terminal, quad_n, right, hadamard)
+    return moment_expansion(coeffs, s, x_t, xs_t, moments)
 
 
 def expand_caputo_left(
@@ -357,27 +352,8 @@ def expand_caputo_left(
     decomposition of the RL derivative; without it the expansion of a
     constant would not tend to zero.
     """
-    if not t > a:
-        raise ExpansionDomainError(f"left expansion needs t > a, got t={t}, a={a}")
-    rl = expand_moment_left(x, xdot, coeffs, t, a, quad_n)
+    rl = expand_moment(x, xdot, coeffs, t, a, quad_n)
     return rl - float(x(a)) / ((t - a) ** coeffs.alpha * gamma(1.0 - coeffs.alpha))
-
-
-def expand_atanackovic(
-    x: Callable, coeffs: MomentCoeffs, t: float, a: float, quad_n: int
-) -> float:
-    """B-omitted variant of the moment expansion:
-
-        A (t-a)^(-alpha) x(t) - sum_{p=2..N} C_p (t-a)^(1-p-alpha) V_p(t).
-
-    Provided only for comparison; dropping the B term loses accuracy at any
-    finite N (B(alpha, N) decays too slowly to ignore, especially as alpha
-    approaches 1), so prefer :func:`expand_moment_left`.
-    """
-    if not t > a:
-        raise ExpansionDomainError(f"left expansion needs t > a, got t={t}, a={a}")
-    moments = moment_values(x, coeffs.N, t, a, quad_n)
-    return moment_expansion(coeffs, t - a, float(x(t)), None, moments)
 
 
 # ---------------------------------------------------------------------------
@@ -404,59 +380,6 @@ def hadamard_expand_integer(
     s = alpha if direction == "derivative" else -alpha
     return sum(
         stirling_function(s, k) * t**k * bundle.deriv(k, t) for k in range(N + 1)
-    )
-
-
-def hadamard_expand_moment(
-    x: Callable,
-    xdot: Callable,
-    hcoeffs: MomentCoeffs,
-    t: float,
-    a: float,
-    quad_n: int,
-) -> float:
-    """Moment expansion of the left Hadamard derivative (terminal a > 0):
-
-        A (ln(t/a))^(-alpha) x(t) + B (ln(t/a))^(1-alpha) t x'(t)
-            - sum_{p=2..N} C_p (ln(t/a))^(1-alpha-p) V_p(t)
-
-    with logarithmic moments V_p(t) = (1-p) integral_a^t (ln(tau/a))^(p-2)
-    x(tau)/tau dtau.  This is the Riemann-Liouville moment expansion applied
-    in the logarithmic variable s = ln(t/a), where the moment sum enters
-    with a minus sign; it is exact (up to quadrature) for x = (ln t)^1.
-    ``hcoeffs`` come from :func:`moment_coeffs`: the Hadamard normalization
-    Gamma(-alpha) Gamma(1+alpha) equals Gamma(2-alpha) Gamma(alpha-1).
-    """
-    if a <= 0.0:
-        raise ValueError(f"Hadamard expansion needs a > 0, got a={a}")
-    if not t > a:
-        raise ExpansionDomainError(f"left expansion needs t > a, got t={t}, a={a}")
-    moments = moment_values(x, hcoeffs.N, t, a, quad_n, hadamard=True)
-    return moment_expansion(hcoeffs, math.log(t / a), float(x(t)), t * float(xdot(t)), moments)
-
-
-def hadamard_expand_moment_right(
-    x: Callable,
-    xdot: Callable,
-    hcoeffs: MomentCoeffs,
-    t: float,
-    b: float,
-    quad_n: int,
-) -> float:
-    """Moment expansion of the right Hadamard derivative:
-
-        A (ln(b/t))^(-alpha) x(t) - B (ln(b/t))^(1-alpha) t x'(t)
-            - sum_{p=2..N} C_p (ln(b/t))^(1-alpha-p) W_p(t)
-
-    with W_p(t) = (1-p) integral_t^b (ln(b/tau))^(p-2) x(tau)/tau dtau.
-    """
-    if t <= 0.0:
-        raise ValueError(f"Hadamard expansion needs t > 0, got t={t}")
-    if not t < b:
-        raise ExpansionDomainError(f"right expansion needs t < b, got t={t}, b={b}")
-    moments = moment_values(x, hcoeffs.N, t, b, quad_n, right=True, hadamard=True)
-    return moment_expansion(
-        hcoeffs, math.log(b / t), float(x(t)), t * float(xdot(t)), moments, sign=-1.0
     )
 
 

@@ -26,9 +26,8 @@ from fracvar.expansions import (
     bound_hadamard,
     bound_integer,
     bound_moment,
-    expand_integer_left,
-    expand_moment_left,
-    hadamard_expand_moment,
+    expand_integer,
+    expand_moment,
     moment_coeffs,
 )
 from fracvar.indirect import (
@@ -144,7 +143,7 @@ def test_criterion_02_integer_expansion_exactness():
         bundle = power_bundle(4)
         for t in np.linspace(0.1, 1.0, 19):
             exact = gamma(5.0) / gamma(4.5) * t**3.5
-            assert abs(expand_integer_left(bundle, 0.5, 4, t, 0.0) - exact) <= 1e-9
+            assert abs(expand_integer(bundle, 0.5, 4, t, 0.0) - exact) <= 1e-9
 
 
 def _gl_max_interior_error(n):
@@ -229,11 +228,11 @@ def test_criterion_05_bound_dominance():
                     coeffs = moment_coeffs(alpha, N)
                     for t in grid:
                         ex = exact(alpha, t)
-                        err = abs(expand_integer_left(bundle, alpha, N, t, 0.0) - ex)
+                        err = abs(expand_integer(bundle, alpha, N, t, 0.0) - ex)
                         assert err <= bound_integer(m_env(N, t), alpha, N, t, 0.0) + SLACK, (
                             "integer", name, alpha, N, t,
                         )
-                        err = abs(expand_moment_left(x, xd, coeffs, t, 0.0, 4000) - ex)
+                        err = abs(expand_moment(x, xd, coeffs, t, 0.0, 4000) - ex)
                         assert err <= bound_moment(l2_env(t), alpha, N, t, 0.0) + SLACK, (
                             "moment", name, alpha, N, t,
                         )
@@ -244,7 +243,7 @@ def test_criterion_05_bound_dominance():
                     hc = moment_coeffs(alpha, N)
                     for t in hgrid:
                         err = abs(
-                            hadamard_expand_moment(x, xd, hc, t, 1.0, quad_n)
+                            expand_moment(x, xd, hc, t, 1.0, quad_n, hadamard=True)
                             - exact(alpha, t)
                         )
                         assert err <= bound_hadamard(lmax_env(t), alpha, N, t, 1.0) + SLACK, (
@@ -385,9 +384,9 @@ def test_criterion_12_property_suites():
             a, b = rng.uniform(-2.0, 2.0, 2)
             combo = lambda t: a * f(t) + b * g(t)
             combo_d = lambda t: a * fd(t) + b * gd(t)
-            lhs = expand_moment_left(combo, combo_d, coeffs, 0.8, 0.0, 2000)
-            rhs = a * expand_moment_left(f, fd, coeffs, 0.8, 0.0, 2000)
-            rhs += b * expand_moment_left(g, gd, coeffs, 0.8, 0.0, 2000)
+            lhs = expand_moment(combo, combo_d, coeffs, 0.8, 0.0, 2000)
+            rhs = a * expand_moment(f, fd, coeffs, 0.8, 0.0, 2000)
+            rhs += b * expand_moment(g, gd, coeffs, 0.8, 0.0, 2000)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
         # gradient consistency of the direct discretization
         for problem in (example1_problem(), example2_problem(), example3_problem()):

@@ -277,6 +277,34 @@ def test_empty_alpha_list_from_config_exits_1(tmp_path):
     assert run(["table-b", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
 
 
+@pytest.mark.parametrize("key,value", [("points", "3.5"), ("n", "1e3"), ("alpha", "x")])
+def test_malformed_config_value_is_a_usage_error(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[derivative]\n{key} = {value}\n")
+    out = tmp_path / "x.csv"
+    method = "gl" if key == "n" else "moment"
+    assert run(["derivative", "--method", method, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"fracvar: bad value for {key}: {value!r}\n"
+    assert not out.exists()
+
+
+#: Flags a subcommand never reads, with a value of the flag's type.
+IGNORED_FLAGS = [
+    *((command, "--eps", "7") for command in ("table-b", "derivative", "direct", "bounds")),
+    *((command, "--tol", "3") for command in ("table-b", "derivative", "indirect", "bounds")),
+    ("direct", "--alpha", "0.3"),
+    ("direct", "--N", "3"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", IGNORED_FLAGS)
+def test_flag_the_subcommand_ignores_exits_1(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "x.csv"
+    assert run([command, flag, value, "--out", str(out)]) == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numerical_failure_exits_2(tmp_path, capsys):
     out = tmp_path / "ex3.csv"
     code = run(["direct", "--example", "ex3", "--n", "10", "--tol", "1e-30",
@@ -397,11 +425,11 @@ def test_csv_writer_cell_kinds(tmp_path):
 def _per_n_approx(method, func, alpha, N, t, quad_n):
     if method in ("hadamard-moment", "hadamard"):
         coeffs = expansions.moment_coeffs(alpha, N)
-        return expansions.hadamard_expand_moment(func.x, func.xdot, coeffs, t, 1.0, quad_n)
+        return expansions.expand_moment(func.x, func.xdot, coeffs, t, 1.0, quad_n, hadamard=True)
     coeffs = expansions.moment_coeffs(alpha, N)
     if method == "atanackovic":
-        return expansions.expand_atanackovic(func.x, coeffs, t, 0.0, quad_n)
-    return expansions.expand_moment_left(func.x, func.xdot, coeffs, t, 0.0, quad_n)
+        return expansions.expand_moment(func.x, None, coeffs, t, 0.0, quad_n)
+    return expansions.expand_moment(func.x, func.xdot, coeffs, t, 0.0, quad_n)
 
 
 @pytest.mark.parametrize("method", ["moment", "atanackovic", "hadamard-moment"])

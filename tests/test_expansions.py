@@ -10,15 +10,10 @@ from fracvar.expansions import (
     bound_hadamard,
     bound_integer,
     bound_moment,
-    expand_atanackovic,
     expand_caputo_left,
-    expand_integer_left,
-    expand_integer_right,
-    expand_moment_left,
-    expand_moment_right,
+    expand_integer,
+    expand_moment,
     hadamard_expand_integer,
-    hadamard_expand_moment,
-    hadamard_expand_moment_right,
     hadamard_reference,
     moment_coeffs,
     moment_expansion,
@@ -150,14 +145,14 @@ def test_expand_integer_left_exact_for_t4():
     bundle = power_bundle(4)
     for t in np.linspace(0.1, 1.0, 10):
         exact = rl_power_exact(4.0, 0.5, t, 0.0)
-        assert abs(expand_integer_left(bundle, 0.5, 4, t, 0.0) - exact) <= 1e-9
+        assert abs(expand_integer(bundle, 0.5, 4, t, 0.0) - exact) <= 1e-9
 
 
 def test_expand_integer_left_n0_term():
     bundle = power_bundle(3)
     for t in (0.3, 0.8):
         expect = bundle.deriv(0, t) * t**-0.5 / gamma(0.5)
-        assert expand_integer_left(bundle, 0.5, 0, t, 0.0) == pytest.approx(
+        assert expand_integer(bundle, 0.5, 0, t, 0.0) == pytest.approx(
             expect, rel=1e-13
         )
 
@@ -166,24 +161,24 @@ def test_expand_integer_left_error_decreases_for_exp():
     bundle = exp2_bundle()
     exact = rl_exp_exact(2.0, 0.5, 1.0)
     errs = [
-        abs(expand_integer_left(bundle, 0.5, N, 1.0, 0.0) - exact) for N in (1, 2, 3)
+        abs(expand_integer(bundle, 0.5, N, 1.0, 0.0) - exact) for N in (1, 2, 3)
     ]
     assert errs[0] > errs[1] > errs[2]
 
 
 def test_expand_integer_left_domain_error():
     with pytest.raises(ExpansionDomainError):
-        expand_integer_left(power_bundle(2), 0.5, 2, 0.0, 0.0)
+        expand_integer(power_bundle(2), 0.5, 2, 0.0, 0.0)
 
 
 def test_expand_integer_right_basic():
     const = DerivativeBundle((lambda t: 1.0, lambda t: 0.0, lambda t: 0.0))
     for N in (0, 2):
-        assert expand_integer_right(const, 0.5, N, 0.25, 1.0) == pytest.approx(
+        assert expand_integer(const, 0.5, N, 0.25, 1.0, right=True) == pytest.approx(
             0.75**-0.5 / gamma(0.5), rel=1e-13
         )
     with pytest.raises(ExpansionDomainError):
-        expand_integer_right(const, 0.5, 1, 1.0, 1.0)
+        expand_integer(const, 0.5, 1, 1.0, 1.0, right=True)
 
 
 def test_expand_integer_right_mirror_power():
@@ -196,7 +191,7 @@ def test_expand_integer_right_mirror_power():
     for alpha in (0.3, 0.7):
         for t in (0.2, 0.6):
             exact = gamma(3.0) / gamma(3.0 - alpha) * (1.0 - t) ** (2.0 - alpha)
-            assert expand_integer_right(bundle, alpha, 2, t, 1.0) == pytest.approx(
+            assert expand_integer(bundle, alpha, 2, t, 1.0, right=True) == pytest.approx(
                 exact, rel=1e-9
             )
 
@@ -287,7 +282,7 @@ def test_moment_kernel_below_order_two_evaluates_nothing():
 
     assert moment_values(x, 1, 0.5, 0.0, 100).shape == (0,)
     coeffs = moment_coeffs(0.5, 1)
-    got = expand_moment_left(lambda t: 2.0, lambda t: 0.0, coeffs, 0.5, 0.0, 100)
+    got = expand_moment(lambda t: 2.0, lambda t: 0.0, coeffs, 0.5, 0.0, 100)
     assert got == pytest.approx(coeffs.A * 0.5**-0.5 * 2.0 + 0.0, rel=1e-15)
 
 
@@ -311,7 +306,7 @@ def test_moment_expansion_uses_the_moment_prefix():
         coeffs = moment_coeffs(0.4, N)
         assert np.array_equal(moment_values(x, N, t, 0.0, 500), long[: N - 1])
         got = moment_expansion(coeffs, t, float(x(t)), float(xd(t)), long)
-        assert got == expand_moment_left(x, xd, coeffs, t, 0.0, 500)
+        assert got == expand_moment(x, xd, coeffs, t, 0.0, 500)
         assert isinstance(got, float)
     with pytest.raises(ValueError):
         moment_expansion(moment_coeffs(0.4, 5), t, 1.0, 1.0, long[:3])
@@ -352,28 +347,28 @@ def test_expand_moment_left_t4_converges_in_n():
     errs = []
     for N in (3, 6, 9):
         coeffs = moment_coeffs(0.5, N)
-        errs.append(abs(expand_moment_left(x, xd, coeffs, 1.0, 0.0, QUAD_N) - exact))
+        errs.append(abs(expand_moment(x, xd, coeffs, 1.0, 0.0, QUAD_N) - exact))
     assert errs[0] > errs[1] > errs[2]
     assert errs[0] < 0.5
 
 
 def test_expand_moment_left_zero_function():
     coeffs = moment_coeffs(0.5, 4)
-    assert expand_moment_left(lambda t: 0.0, lambda t: 0.0, coeffs, 0.7, 0.0, 100) == 0.0
+    assert expand_moment(lambda t: 0.0, lambda t: 0.0, coeffs, 0.7, 0.0, 100) == 0.0
 
 
 def test_expand_moment_left_exp_improves_with_n():
     x, xd = lambda t: math.exp(2.0 * t), lambda t: 2.0 * math.exp(2.0 * t)
     exact = rl_exp_exact(2.0, 0.5, 1.0)
-    e3 = abs(expand_moment_left(x, xd, moment_coeffs(0.5, 3), 1.0, 0.0, QUAD_N) - exact)
-    e6 = abs(expand_moment_left(x, xd, moment_coeffs(0.5, 6), 1.0, 0.0, QUAD_N) - exact)
+    e3 = abs(expand_moment(x, xd, moment_coeffs(0.5, 3), 1.0, 0.0, QUAD_N) - exact)
+    e6 = abs(expand_moment(x, xd, moment_coeffs(0.5, 6), 1.0, 0.0, QUAD_N) - exact)
     assert e6 < e3
 
 
 def test_expand_moment_left_domain_error():
     coeffs = moment_coeffs(0.5, 3)
     with pytest.raises(ExpansionDomainError):
-        expand_moment_left(lambda t: t, lambda t: 1.0, coeffs, 0.0, 0.0, 100)
+        expand_moment(lambda t: t, lambda t: 1.0, coeffs, 0.0, 0.0, 100)
 
 
 def test_expand_moment_right_pieces():
@@ -381,7 +376,7 @@ def test_expand_moment_right_pieces():
     coeffs = moment_coeffs(0.5, 2)
     b, t = 1.0, 0.4
     expect = coeffs.A * (b - t) ** -0.5 + coeffs.c(2) * (b - t) ** -0.5
-    got = expand_moment_right(lambda s: 1.0, lambda s: 0.0, coeffs, t, b, 2000)
+    got = expand_moment(lambda s: 1.0, lambda s: 0.0, coeffs, t, b, 2000, right=True)
     assert got == pytest.approx(expect, rel=1e-10)
 
 
@@ -389,19 +384,19 @@ def test_expand_moment_right_mirror_power():
     # right derivative of (1-t)^2 mirrors the left power rule
     x, xd = lambda s: (1.0 - s) ** 2, lambda s: -2.0 * (1.0 - s)
     exact = gamma(3.0) / gamma(2.5) * (1.0 - 0.3) ** 1.5
-    approx = expand_moment_right(x, xd, moment_coeffs(0.5, 12), 0.3, 1.0, QUAD_N)
+    approx = expand_moment(x, xd, moment_coeffs(0.5, 12), 0.3, 1.0, QUAD_N, right=True)
     assert approx == pytest.approx(exact, rel=0.05)
 
 
 def test_expand_moment_right_zero():
     coeffs = moment_coeffs(0.5, 3)
-    assert expand_moment_right(lambda t: 0.0, lambda t: 0.0, coeffs, 0.2, 1.0, 100) == 0.0
+    assert expand_moment(lambda t: 0.0, lambda t: 0.0, coeffs, 0.2, 1.0, 100, right=True) == 0.0
 
 
 def test_expand_caputo_equals_rl_when_origin_vanishes():
     x, xd = lambda t: t**2, lambda t: 2.0 * t
     coeffs = moment_coeffs(0.5, 4)
-    rl = expand_moment_left(x, xd, coeffs, 0.8, 0.0, 2000)
+    rl = expand_moment(x, xd, coeffs, 0.8, 0.0, 2000)
     cap = expand_caputo_left(x, xd, coeffs, 0.8, 0.0, 2000)
     assert cap == pytest.approx(rl, rel=1e-13)
 
@@ -421,7 +416,7 @@ def test_expand_caputo_constant_is_small():
 
 def test_atanackovic_zero_function():
     coeffs = moment_coeffs(0.5, 3)
-    assert expand_atanackovic(lambda t: 0.0, coeffs, 0.6, 0.0, 100) == 0.0
+    assert expand_moment(lambda t: 0.0, None, coeffs, 0.6, 0.0, 100) == 0.0
 
 
 def test_atanackovic_inferior_to_full_moment():
@@ -436,10 +431,10 @@ def test_atanackovic_inferior_to_full_moment():
         ),
     ):
         err_mom = max(
-            abs(expand_moment_left(x, xd, coeffs, t, 0.0, 2000) - exact(t)) for t in grid
+            abs(expand_moment(x, xd, coeffs, t, 0.0, 2000) - exact(t)) for t in grid
         )
         err_atan = max(
-            abs(expand_atanackovic(x, coeffs, t, 0.0, 2000) - exact(t)) for t in grid
+            abs(expand_moment(x, None, coeffs, t, 0.0, 2000) - exact(t)) for t in grid
         )
         assert err_mom < err_atan
 
@@ -505,7 +500,7 @@ def test_hadamard_moment_lnt_is_exact_up_to_quadrature():
     for t in (1.2, 1.8, 2.0):
         exact = hadamard_logpow_exact(1.0, 0.5, t)
         for hc in (hc2, hc8):
-            got = hadamard_expand_moment(math.log, lambda s: 1.0 / s, hc, t, 1.0, 20000)
+            got = expand_moment(math.log, lambda s: 1.0 / s, hc, t, 1.0, 20000, hadamard=True)
             assert abs(got - exact) <= 1e-8
 
 
@@ -515,15 +510,15 @@ def test_hadamard_moment_t4_error_decreases():
     errs = []
     for N in (2, 4, 6):
         hc = moment_coeffs(0.5, N)
-        errs.append(abs(hadamard_expand_moment(x, xd, hc, 2.0, 1.0, QUAD_N) - exact))
+        errs.append(abs(expand_moment(x, xd, hc, 2.0, 1.0, QUAD_N, hadamard=True) - exact))
     assert errs[0] > errs[1] > errs[2]
 
 
 def test_hadamard_moment_zero_function():
     hc = moment_coeffs(0.5, 3)
-    assert hadamard_expand_moment(lambda t: 0.0, lambda t: 0.0, hc, 2.0, 1.0, 100) == 0.0
+    assert expand_moment(lambda t: 0.0, lambda t: 0.0, hc, 2.0, 1.0, 100, hadamard=True) == 0.0
     assert (
-        hadamard_expand_moment_right(lambda t: 0.0, lambda t: 0.0, hc, 1.5, 2.0, 100)
+        expand_moment(lambda t: 0.0, lambda t: 0.0, hc, 1.5, 2.0, 100, right=True, hadamard=True)
         == 0.0
     )
 
@@ -534,10 +529,10 @@ def test_hadamard_moment_right_mirror():
     a, b = 1.0, math.e
     t = 1.5
     hc = moment_coeffs(0.5, 5)
-    left = hadamard_expand_moment(math.log, lambda s: 1.0 / s, hc, t, a, 20000)
+    left = expand_moment(math.log, lambda s: 1.0 / s, hc, t, a, 20000, hadamard=True)
     xr = lambda s: math.log(a * b / s)
     xrd = lambda s: -1.0 / s
-    right = hadamard_expand_moment_right(xr, xrd, hc, a * b / t, b, 20000)
+    right = expand_moment(xr, xrd, hc, a * b / t, b, 20000, right=True, hadamard=True)
     assert right == pytest.approx(left, abs=1e-6)
 
 
@@ -568,7 +563,7 @@ def test_bound_integer_dominates_exp_expansion():
     M = 2.0**4 * math.exp(2.0)  # max |x^(4)| on [0, 1]
     for t in np.linspace(0.05, 1.0, 101)[1:]:
         err = abs(
-            expand_integer_left(bundle, 0.5, 3, t, 0.0) - rl_exp_exact(2.0, 0.5, t)
+            expand_integer(bundle, 0.5, 3, t, 0.0) - rl_exp_exact(2.0, 0.5, t)
         )
         assert err <= bound_integer(M, 0.5, 3, t, 0.0) + 1e-8
 
@@ -589,7 +584,7 @@ def test_bound_moment_dominates_t4():
     coeffs = moment_coeffs(0.5, 10)
     for t in np.linspace(0.1, 1.0, 10):
         err = abs(
-            expand_moment_left(x, xd, coeffs, t, 0.0, 4000)
+            expand_moment(x, xd, coeffs, t, 0.0, 4000)
             - rl_power_exact(4.0, 0.5, t, 0.0)
         )
         assert err <= bound_moment(12.0 * t**2, 0.5, 10, t, 0.0) + 1e-8
@@ -607,7 +602,7 @@ def test_bound_hadamard_dominates_lnt():
     hc = moment_coeffs(0.5, 8)
     for t in np.linspace(1.1, 2.0, 10):
         err = abs(
-            hadamard_expand_moment(math.log, lambda s: 1.0 / s, hc, t, 1.0, 20000)
+            expand_moment(math.log, lambda s: 1.0 / s, hc, t, 1.0, 20000, hadamard=True)
             - hadamard_logpow_exact(1.0, 0.5, t)
         )
         assert err <= 1e-8
@@ -629,23 +624,23 @@ def test_expansions_linear_in_function():
         combo = lambda t: a * f(t) + b * g(t)
         combo_d = lambda t: a * fd(t) + b * gd(t)
         t0 = 0.8
-        lhs = expand_moment_left(combo, combo_d, coeffs, t0, 0.0, 2000)
-        rhs = a * expand_moment_left(f, fd, coeffs, t0, 0.0, 2000) + b * expand_moment_left(
+        lhs = expand_moment(combo, combo_d, coeffs, t0, 0.0, 2000)
+        rhs = a * expand_moment(f, fd, coeffs, t0, 0.0, 2000) + b * expand_moment(
             g, gd, coeffs, t0, 0.0, 2000
         )
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-        lhs = expand_moment_right(combo, combo_d, coeffs, t0, 1.0, 2000)
-        rhs = a * expand_moment_right(f, fd, coeffs, t0, 1.0, 2000)
-        rhs += b * expand_moment_right(g, gd, coeffs, t0, 1.0, 2000)
+        lhs = expand_moment(combo, combo_d, coeffs, t0, 1.0, 2000, right=True)
+        rhs = a * expand_moment(f, fd, coeffs, t0, 1.0, 2000, right=True)
+        rhs += b * expand_moment(g, gd, coeffs, t0, 1.0, 2000, right=True)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-        lhs = expand_atanackovic(combo, coeffs, t0, 0.0, 2000)
-        rhs = a * expand_atanackovic(f, coeffs, t0, 0.0, 2000)
-        rhs += b * expand_atanackovic(g, coeffs, t0, 0.0, 2000)
+        lhs = expand_moment(combo, None, coeffs, t0, 0.0, 2000)
+        rhs = a * expand_moment(f, None, coeffs, t0, 0.0, 2000)
+        rhs += b * expand_moment(g, None, coeffs, t0, 0.0, 2000)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
         t1 = 1.7
-        lhs = hadamard_expand_moment(combo, combo_d, hc, t1, 1.0, 2000)
-        rhs = a * hadamard_expand_moment(f, fd, hc, t1, 1.0, 2000) + b * hadamard_expand_moment(
-            g, gd, hc, t1, 1.0, 2000
+        lhs = expand_moment(combo, combo_d, hc, t1, 1.0, 2000, hadamard=True)
+        rhs = a * expand_moment(f, fd, hc, t1, 1.0, 2000, hadamard=True) + b * expand_moment(
+            g, gd, hc, t1, 1.0, 2000, hadamard=True
         )
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
@@ -662,9 +657,10 @@ def test_integer_expansions_linear_in_function():
                 for k in range(5)
             )
         )
-        for t0, op, terminal in ((0.6, expand_integer_left, 0.0), (0.6, expand_integer_right, 1.0)):
-            lhs = op(combo, 0.5, 4, t0, terminal)
-            rhs = a * op(f_bundle, 0.5, 4, t0, terminal) + b * op(g_bundle, 0.5, 4, t0, terminal)
+        for t0, terminal, right in ((0.6, 0.0, False), (0.6, 1.0, True)):
+            lhs = expand_integer(combo, 0.5, 4, t0, terminal, right)
+            rhs = a * expand_integer(f_bundle, 0.5, 4, t0, terminal, right)
+            rhs += b * expand_integer(g_bundle, 0.5, 4, t0, terminal, right)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
@@ -675,8 +671,8 @@ def test_cross_family_agreement_within_bound_sum():
     x, xd = lambda t: math.exp(2.0 * t), lambda t: 2.0 * math.exp(2.0 * t)
     coeffs = moment_coeffs(0.5, 8)
     for t in np.linspace(0.2, 1.0, 5):
-        vi = expand_integer_left(bundle, 0.5, 5, t, 0.0)
-        vm = expand_moment_left(x, xd, coeffs, t, 0.0, 4000)
+        vi = expand_integer(bundle, 0.5, 5, t, 0.0)
+        vm = expand_moment(x, xd, coeffs, t, 0.0, 4000)
         cap = bound_integer(2.0**6 * math.exp(2.0 * t), 0.5, 5, t, 0.0) + bound_moment(
             4.0 * math.exp(2.0 * t), 0.5, 8, t, 0.0
         )
