@@ -135,6 +135,9 @@ class _Options:
                 raise UsageError(f"bad value for {name}: {raw!r}") from None
         return default
 
+    def on_command_line(self, name: str) -> bool:
+        return self._args.get(name.replace("-", "_")) is not None
+
 
 # ---------------------------------------------------------------------------
 # subcommands
@@ -213,12 +216,18 @@ def _quad_n(opts: _Options, default: int) -> int:
     return quad_n
 
 
+def _reject_unused(opts: _Options, method: str, names) -> None:
+    """A command-line flag that ``method`` does not read is a usage error.
+    Config-file values are not checked: one section serves every method."""
+    given = [f"--{name}" for name in names if opts.on_command_line(name)]
+    if given:
+        raise UsageError(f"method {method!r} does not use {', '.join(given)}")
+
+
 def cmd_derivative(opts: _Options) -> tuple:
     fname = opts.get("function", "t4")
     method = opts.get("method", "moment")
     alphas = opts.get("alpha", [0.5])
-    quad_n = _quad_n(opts, 2000)
-    points = opts.get("points", 100)
     if fname not in CATALOG:
         raise UsageError(f"unknown function id {fname!r} (have {sorted(CATALOG)})")
     if method not in EXPANSION_METHODS + MESH_METHODS:
@@ -232,6 +241,7 @@ def cmd_derivative(opts: _Options) -> tuple:
     rows = []
     failures = []
     if method in EXPANSION_METHODS:
+        _reject_unused(opts, method, ["n", "quad-n"] if method == "integer" else ["n"])
         sweep = opts.get("N", [1, 2, 3])
         if not sweep:
             raise UsageError("derivative needs a nonempty N list")
@@ -240,7 +250,7 @@ def cmd_derivative(opts: _Options) -> tuple:
                 raise UsageError("integer method needs N >= 0")
         elif any(N < 1 for N in sweep):
             raise UsageError(f"method {method!r} needs N >= 1")
-        grid = _eval_grid(a, b, points)
+        grid = _eval_grid(a, b, opts.get("points", 100))
         if method == "integer":
             for N in sweep:
                 try:
@@ -251,12 +261,14 @@ def cmd_derivative(opts: _Options) -> tuple:
                 except NUMERICAL_ERRORS as exc:
                     failures.append({"run": f"{method}:{fname}:N={N}", "error": str(exc)})
         else:
+            quad_n = _quad_n(opts, 2000)
             for N, points_N, exc in _moment_sweep(func, method, exact, alpha, a, grid, sweep, quad_n):
                 rows.extend((N, t, ex, approx, abs(approx - ex)) for t, approx, ex in points_N)
                 if exc is not None:
                     failures.append({"run": f"{method}:{fname}:N={N}", "error": str(exc)})
         header = ("N", "t", "exact", "approx", "abs_error")
     else:
+        _reject_unused(opts, method, ["N", "points", "quad-n"])
         sweep = opts.get("n", [100])
         if not sweep:
             raise UsageError("derivative needs a nonempty n list")
@@ -385,7 +397,6 @@ def cmd_bounds(opts: _Options) -> tuple:
     fname = opts.get("function", "t4")
     method = opts.get("method", "integer")
     alphas = opts.get("alpha", [0.5])
-    quad_n = _quad_n(opts, 20000)
     points = opts.get("points", 20)
     Ns = opts.get("N", list(range(2, 11)))
     if fname not in CATALOG:
@@ -407,6 +418,7 @@ def cmd_bounds(opts: _Options) -> tuple:
         rows.append((N, t, err, bound, err <= bound + DOMINANCE_SLACK))
 
     if method == "integer":
+        _reject_unused(opts, method, ["quad-n"])
         for N in Ns:
             try:
                 for t in grid:
@@ -416,6 +428,7 @@ def cmd_bounds(opts: _Options) -> tuple:
             except NUMERICAL_ERRORS as exc:
                 failures.append({"run": f"bounds:{method}:{fname}:N={N}", "error": str(exc)})
     else:
+        quad_n = _quad_n(opts, 20000)
         for N, points_N, exc in _moment_sweep(func, method, exact, alpha, a, grid, Ns, quad_n):
             for t, approx, ex in points_N:
                 if method == "moment":

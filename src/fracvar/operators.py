@@ -107,7 +107,10 @@ def _binomial_weights(order: float, K: int) -> np.ndarray:
 #: Lower-triangular Toeplitz products of vectors with at least this many
 #: entries go through the FFT, shorter ones through np.convolve; the two
 #: cost the same at about 320-384 entries (numpy 2.4, scipy 1.17, one
-#: x86-64 core).
+#: x86-64 core).  It is also the near-field length of the Diethelm sum
+#: (``diethelm_caputo_all``): lags below it are summed directly and only the
+#: small tail goes through the FFT, in doubling blocks of nodes, which keeps
+#: that sum elementwise accurate where one FFT of all lags would not be.
 FFT_MIN_LEN = 384
 
 
@@ -177,9 +180,19 @@ def diethelm_caputo_all(
     for 0 < j < i, and a_{i,i} = (1-alpha) i^(-alpha) - i^(1-alpha) + (i-1)^(1-alpha).
     The scheme is O(h^(2-alpha)) accurate.
 
-    The weights depend on i only at j = i, so all nodes take one convolution
-    with the interior weights c_j (c_0 = 1) plus the end correction
-    (a_{i,i} - c_i) y_0 at each i >= 1.
+    The weights depend on i only at j = i, so all nodes take one lower
+    Toeplitz product with the interior weights c_j (c_0 = 1) plus the end
+    correction (a_{i,i} - c_i) y_0 at each i >= 1.  The product is split at
+    lag K = FFT_MIN_LEN.  The near field j < K is one direct convolution,
+    O(n K).  The tail j >= K adds to nodes i >= K only.  It goes through
+    ``_LowerToeplitz`` (by FFT from K entries on) in blocks of tail outputs
+    [s, 2s) (the first one [0, K)), each a product with y_0..y_{2s-1}:
+    O(n log n) in all.  An FFT product's rounding scales with the norms of
+    its inputs, not with each output.  The c_j decay like j^(-1-alpha), so
+    the tail's norm is small, and the doubling blocks bound a node's
+    rounding by the samples up to about twice its index.  Each node so
+    keeps the direct sum's relative accuracy, also where x spans many
+    decades (t^4 near 0), which one FFT over all samples does not.
 
     Only 0 < alpha < 1 is supported: for alpha in (1, 2) the three-case weight
     table contains 0^(1-alpha) at j = 1 and is not well-defined as stated.
@@ -201,7 +214,14 @@ def diethelm_caputo_all(
     c[0] = 1.0
     c[1:] = (j + 1.0) ** s - 2.0 * j**s + (j - 1.0) ** s
     end = s * j ** (-alpha) - j**s + (j - 1.0) ** s
-    d = np.convolve(c, y)[: n + 1]
+    d = np.convolve(c[:FFT_MIN_LEN], y)[: n + 1]
+    tail = _LowerToeplitz(c[FFT_MIN_LEN:])
+    far = d[FFT_MIN_LEN:]  # a view: the nodes the tail adds to
+    start = 0
+    while start < len(far):
+        stop = min(len(far), max(2 * start, FFT_MIN_LEN))
+        far[start:stop] += tail.matvec(y[:stop])[start:]
+        start = stop
     d[1:] += (end - c[1:]) * y[0]
     return d * h ** (-alpha) / gamma(2.0 - alpha)
 

@@ -305,6 +305,37 @@ def test_flag_the_subcommand_ignores_exits_1(tmp_path, capsys, command, flag, va
     assert not out.exists()
 
 
+#: Flags of a subcommand that the chosen method never reads.
+UNUSED_METHOD_FLAGS = [
+    *(("derivative", method, flag, value)
+      for method in ("gl", "diethelm")
+      for flag, value in (("--N", "7"), ("--points", "3"), ("--quad-n", "0"))),
+    *(("derivative", method, "--n", "10") for method in ("integer", "moment")),
+    ("derivative", "integer", "--quad-n", "0"),
+    ("bounds", "integer", "--quad-n", "0"),
+]
+
+
+@pytest.mark.parametrize("command,method,flag,value", UNUSED_METHOD_FLAGS)
+def test_flag_the_method_ignores_exits_1(tmp_path, capsys, command, method, flag, value):
+    out = tmp_path / "x.csv"
+    argv = [command, "--function", "t4", "--method", method, flag, value, "--out", str(out)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"fracvar: method {method!r} does not use {flag}\n"
+    assert not out.exists()
+
+
+def test_config_value_the_method_ignores_is_not_read(tmp_path):
+    # one config section serves every method, so values another method
+    # reads are skipped, not validated
+    cfg = tmp_path / "shared.ini"
+    cfg.write_text("[derivative]\nfunction = t2\nquad-n = 0\nN = 0\npoints = 3\nn = 10\n")
+    out = tmp_path / "x.csv"
+    assert run(["derivative", "--config", str(cfg), "--method", "gl", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 10
+
+
 def test_numerical_failure_exits_2(tmp_path, capsys):
     out = tmp_path / "ex3.csv"
     code = run(["direct", "--example", "ex3", "--n", "10", "--tol", "1e-30",

@@ -331,6 +331,41 @@ def test_diethelm_all_matches_reference_loop(alpha, name):
         )
 
 
+def diethelm_longdouble(curve, alpha, x_a, nodes):
+    """The Diethelm sum of ``diethelm_caputo_all`` (same samples, same
+    weights and end correction) at nodes 0..nodes-1, in np.longdouble."""
+    alpha = np.longdouble(alpha)
+    y = curve.values[:nodes].astype(np.longdouble) - np.longdouble(x_a)
+    s = 1 - alpha
+    j = np.arange(1, nodes, dtype=np.longdouble)
+    c = np.concatenate(([np.longdouble(1)], (j + 1) ** s - 2 * j**s + (j - 1) ** s))
+    end = s * j ** (-alpha) - j**s + (j - 1) ** s
+    d = np.convolve(c, y)[:nodes]
+    d[1:] += (end - c[1:]) * y[0]
+    return d * np.longdouble(curve.mesh.h) ** (-alpha) / np.longdouble(gamma(2.0 - float(alpha)))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize(
+    "name,n,nodes",
+    [
+        # all nodes: a direct float64 convolution of all lags drifts to
+        # 1.8e-11 relative (alpha = 0.95, 3 + t); the near/far split stays
+        # below 2.5e-12
+        *((name, 6000, 6001) for name in sorted(DIETHELM_CASES)),
+        # t^4 spans 14 decades on the first 3000 nodes: one FFT over all
+        # samples reads 1.2e-10 relative there, the doubling blocks 1e-14
+        ("t4", 20000, 3000),
+    ],
+)
+def test_diethelm_all_close_to_longdouble_sum(alpha, name, n, nodes):
+    f, x_a = {**DIETHELM_CASES, "t4": (lambda t: t**4, 0.0)}[name]
+    c = curve_of(f, n=n)
+    d = diethelm_caputo_all(c, alpha, [x_a])[1:nodes]
+    ref = diethelm_longdouble(c, alpha, x_a, nodes)[1:]
+    assert float(np.max(np.abs((d - ref) / ref))) <= 4e-12
+
+
 def test_diethelm_validates_alpha_and_derivs():
     c = curve_of(lambda t: t, n=10)
     with pytest.raises(ValueError):
