@@ -11,9 +11,12 @@ indirect-method curves, and the truncation-bound dominance checks:
     fracvar bounds     --function ID --method ID [--N ...] [...]
 
 All values may come from an INI config file (one section per subcommand,
-``--config PATH``); command-line flags override file values.  Output is a
-headed CSV with LF line endings and 17-significant-digit floats, so
-identical configs produce byte-identical files.
+``--config PATH``); command-line flags override file values.  Each
+subcommand returns its table as columns, one 1-D numpy array per CSV
+column, and the writer picks each column's format from its dtype: integers
+and booleans in full, floats with 17 significant digits.  Output is a
+headed CSV with LF line endings, so identical configs produce
+byte-identical files.
 
 Exit codes: 0 all runs completed, 1 usage error, 2 numerical failure (a
 JSON error list goes to stderr).
@@ -87,17 +90,27 @@ def _single_alpha(alphas) -> float:
     return alpha
 
 
-def _write_csv(path: str, header, rows) -> None:
-    """Write the header and the row tuples.  Each column gets one format,
-    chosen once from the dtype numpy gives the whole column: booleans as 1/0
-    and integers in full (``%d``), anything else as a float with 17
-    significant digits (``%.17g``, which spells an integer in a float column
-    the same way up to 2**53)."""
-    kinds = [np.asarray(column).dtype.kind for column in zip(*rows)]
-    line = ",".join("%d" if kind in "biu" else "%.17g" for kind in kinds) + "\n"
+def _write_csv(path: str, header, columns) -> None:
+    """Write the header and the columns, one 1-D array per CSV column.
+
+    Each column gets one format from its dtype: booleans as 1/0 and integers
+    in full (``%d``), anything else as a float with 17 significant digits
+    (``%.17g``).  The rows are formatted from Python scalars and the body
+    goes out in one write."""
+    line = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in columns) + "\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.writelines(line % tuple(row) for row in rows)
+        fh.write("".join([line % row for row in zip(*(c.tolist() for c in columns))]))
+
+
+def _columns(rows) -> list:
+    """Row tuples as columns; each column takes the dtype numpy gives it."""
+    return [np.asarray(column) for column in zip(*rows)]
+
+
+def _concatenated(blocks) -> list:
+    """Per-run tuples of column arrays, joined into one array per column."""
+    return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
 class _Options:
@@ -157,7 +170,7 @@ def cmd_table_b(opts: _Options) -> tuple:
     for a in alphas:
         for n in ns:
             rows.append((a, n, expansions.moment_coeffs(a, n).B))
-    return ("alpha", "N", "B"), rows, []
+    return ("alpha", "N", "B"), _columns(rows), []
 
 
 def _eval_grid(a: float, b: float, points: int) -> np.ndarray:
@@ -209,11 +222,11 @@ def _reference(func, method: str, alpha: float) -> tuple:
     return 0.0, 1.0, lambda t: func.rl_exact(alpha, t)
 
 
-def _quad_n(opts: _Options, default: int) -> int:
-    quad_n = opts.get("quad-n", default)
-    if quad_n < 1:
-        raise UsageError(f"--quad-n must be >= 1, got {quad_n}")
-    return quad_n
+def _at_least_one(opts: _Options, name: str, default: int) -> int:
+    value = opts.get(name, default)
+    if value < 1:
+        raise UsageError(f"--{name} must be >= 1, got {value}")
+    return value
 
 
 def _reject_unused(opts: _Options, method: str, names) -> None:
@@ -238,7 +251,6 @@ def cmd_derivative(opts: _Options) -> tuple:
     func = CATALOG[fname]
     a, b, exact = _reference(func, method, alpha)
 
-    rows = []
     failures = []
     if method in EXPANSION_METHODS:
         _reject_unused(opts, method, ["n", "quad-n"] if method == "integer" else ["n"])
@@ -250,7 +262,8 @@ def cmd_derivative(opts: _Options) -> tuple:
                 raise UsageError("integer method needs N >= 0")
         elif any(N < 1 for N in sweep):
             raise UsageError(f"method {method!r} needs N >= 1")
-        grid = _eval_grid(a, b, opts.get("points", 100))
+        grid = _eval_grid(a, b, _at_least_one(opts, "points", 100))
+        rows = []
         if method == "integer":
             for N in sweep:
                 try:
@@ -261,17 +274,21 @@ def cmd_derivative(opts: _Options) -> tuple:
                 except NUMERICAL_ERRORS as exc:
                     failures.append({"run": f"{method}:{fname}:N={N}", "error": str(exc)})
         else:
-            quad_n = _quad_n(opts, 2000)
+            quad_n = _at_least_one(opts, "quad-n", 2000)
             for N, points_N, exc in _moment_sweep(func, method, exact, alpha, a, grid, sweep, quad_n):
                 rows.extend((N, t, ex, approx, abs(approx - ex)) for t, approx, ex in points_N)
                 if exc is not None:
                     failures.append({"run": f"{method}:{fname}:N={N}", "error": str(exc)})
         header = ("N", "t", "exact", "approx", "abs_error")
+        columns = _columns(rows)
     else:
         _reject_unused(opts, method, ["N", "points", "quad-n"])
         sweep = opts.get("n", [100])
         if not sweep:
             raise UsageError("derivative needs a nonempty n list")
+        if any(n < 1 for n in sweep):
+            raise UsageError(f"--n must be >= 1, got {min(sweep)}")
+        blocks = []
         for n in sweep:
             try:
                 mesh = Mesh(a, b, n)
@@ -285,11 +302,12 @@ def cmd_derivative(opts: _Options) -> tuple:
                 # numpy's array pow; Mittag-Leffler ones fall back per node
                 exacts = expansions._eval_on(exact, tnodes[1:])
                 errors = np.abs(approxes - exacts)
-                rows.extend(zip([n] * n, tnodes[1:], exacts, approxes, errors))
+                blocks.append((np.full(n, n), tnodes[1:], exacts, approxes, errors))
             except NUMERICAL_ERRORS as exc:
                 failures.append({"run": f"{method}:{fname}:n={n}", "error": str(exc)})
         header = ("n", "t", "exact", "approx", "abs_error")
-    return header, rows, failures
+        columns = _concatenated(blocks)
+    return header, columns, failures
 
 
 def cmd_direct(opts: _Options) -> tuple:
@@ -313,7 +331,7 @@ def cmd_direct(opts: _Options) -> tuple:
     if not ns or any(n < 2 for n in ns):
         raise UsageError("direct needs a list of n values >= 2")
 
-    rows = []
+    blocks = []
     failures = []
     for n in ns:
         try:
@@ -323,22 +341,19 @@ def cmd_direct(opts: _Options) -> tuple:
             continue
         tnodes = curve.mesh.nodes()
         # per node: numpy's array pow rounds some of these 1 ulp differently
-        exact_curve = SampledCurve(curve.mesh, np.array([exact(t) for t in tnodes]))
-        err = max_error(curve, exact_curve)
-        for i, t in enumerate(tnodes):
-            rows.append(
-                (
-                    n,
-                    t,
-                    curve.values[i],
-                    exact_curve.values[i],
-                    abs(curve.values[i] - exact_curve.values[i]),
-                    err,
-                    True,
-                )
-            )
+        exact_curve = SampledCurve.from_function(curve.mesh, exact)
+        m = n + 1
+        blocks.append((
+            np.full(m, n),
+            tnodes,
+            curve.values,
+            exact_curve.values,
+            np.abs(curve.values - exact_curve.values),
+            np.full(m, max_error(curve, exact_curve)),
+            np.full(m, True),
+        ))
     header = ("n", "t", "approx", "exact", "abs_error", "max_error", "converged")
-    return header, rows, failures
+    return header, _concatenated(blocks), failures
 
 
 def cmd_indirect(opts: _Options) -> tuple:
@@ -358,19 +373,22 @@ def cmd_indirect(opts: _Options) -> tuple:
     Ns = opts.get("N", defaults[example])
     if not Ns:
         raise UsageError("indirect needs a nonempty N list")
+    if n_mesh < 1:
+        raise UsageError(f"--n must be >= 1, got {n_mesh}")
+    if not 0.0 <= eps < 1.0:
+        raise UsageError(f"--eps must lie in [0, 1), got {eps}")
+    if example == "ex4-moment" and eps == 0.0:
+        raise UsageError("ex4-moment needs --eps > 0: its scaled state is singular at t = 0")
 
     mesh = Mesh(0.0, 1.0, n_mesh)
     tnodes = mesh.nodes()
     if example.startswith("ex2"):
-        exact_curve = SampledCurve(
-            mesh, np.array([indirect.analytic_solution_example2(alpha, t) for t in tnodes])
-        )
+        exact = indirect.analytic_solution_example2
     else:
-        exact_curve = SampledCurve(
-            mesh, np.array([indirect.exact_solution_example4(alpha, t) for t in tnodes])
-        )
+        exact = indirect.exact_solution_example4
+    exact_curve = SampledCurve.from_function(mesh, lambda t: exact(alpha, t))
 
-    rows = []
+    blocks = []
     failures = []
     for N in Ns:
         try:
@@ -386,18 +404,17 @@ def cmd_indirect(opts: _Options) -> tuple:
         except NUMERICAL_ERRORS as exc:
             failures.append({"run": f"{example}:N={N}", "error": str(exc)})
             continue
+        m = n_mesh + 1
         err = l2_error(approx, exact_curve)
-        for i, t in enumerate(tnodes):
-            rows.append((N, t, approx.values[i], exact_curve.values[i], err))
+        blocks.append((np.full(m, N), tnodes, approx.values, exact_curve.values, np.full(m, err)))
     header = ("N", "t", "approx", "exact", "l2_error")
-    return header, rows, failures
+    return header, _concatenated(blocks), failures
 
 
 def cmd_bounds(opts: _Options) -> tuple:
     fname = opts.get("function", "t4")
     method = opts.get("method", "integer")
     alphas = opts.get("alpha", [0.5])
-    points = opts.get("points", 20)
     Ns = opts.get("N", list(range(2, 11)))
     if fname not in CATALOG:
         raise UsageError(f"unknown function id {fname!r} (have {sorted(CATALOG)})")
@@ -409,7 +426,7 @@ def cmd_bounds(opts: _Options) -> tuple:
     func = CATALOG[fname]
     a, b, exact = _reference(func, method, alpha)
 
-    grid = _eval_grid(a, b, points)
+    grid = _eval_grid(a, b, _at_least_one(opts, "points", 20))
     rows = []
     failures = []
 
@@ -428,7 +445,7 @@ def cmd_bounds(opts: _Options) -> tuple:
             except NUMERICAL_ERRORS as exc:
                 failures.append({"run": f"bounds:{method}:{fname}:N={N}", "error": str(exc)})
     else:
-        quad_n = _quad_n(opts, 20000)
+        quad_n = _at_least_one(opts, "quad-n", 20000)
         for N, points_N, exc in _moment_sweep(func, method, exact, alpha, a, grid, Ns, quad_n):
             for t, approx, ex in points_N:
                 if method == "moment":
@@ -439,7 +456,7 @@ def cmd_bounds(opts: _Options) -> tuple:
             if exc is not None:
                 failures.append({"run": f"bounds:{method}:{fname}:N={N}", "error": str(exc)})
     header = ("N", "t", "abs_error", "bound", "dominated")
-    return header, rows, failures
+    return header, _columns(rows), failures
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +517,9 @@ def main(argv: Optional[list] = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         opts = _Options(args, args.command)
-        header, rows, failures = COMMANDS[args.command](opts)
+        header, columns, failures = COMMANDS[args.command](opts)
         out_path = opts.get("out", f"{args.command.replace('-', '_')}.csv")
-        _write_csv(out_path, header, rows)
+        _write_csv(out_path, header, columns)
     except UsageError as exc:
         print(f"fracvar: {exc}", file=sys.stderr)
         return 1

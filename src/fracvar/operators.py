@@ -64,7 +64,9 @@ class SampledCurve:
 
     @classmethod
     def from_function(cls, mesh: Mesh, f) -> "SampledCurve":
-        return cls(mesh, np.array([f(t) for t in mesh.nodes()], dtype=float))
+        """Samples of ``f`` called once per node on a Python float (one array
+        call would round powers differently at some nodes)."""
+        return cls(mesh, np.array([f(t) for t in mesh.nodes().tolist()], dtype=float))
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fracvar import cli, expansions, indirect
 from fracvar._functions import CATALOG
 from fracvar.cli import main
 from fracvar.direct import example3_minimizer
-from fracvar.operators import Mesh
+from fracvar.operators import Mesh, SampledCurve
 from fracvar.specfun import SeriesConvergenceError
 
 
@@ -271,6 +274,41 @@ def test_quad_n_below_one_exits_1(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+#: Sizes out of range, with the usage message each gets.
+OUT_OF_RANGE = [
+    *((["derivative", "--method", method, "--function", "t4", "--points", points],
+       f"--points must be >= 1, got {points}")
+      for method in ("moment", "integer", "atanackovic", "hadamard-moment")
+      for points in ("0", "-2")),
+    *((["bounds", "--method", method, "--function", "t4", "--points", points],
+       f"--points must be >= 1, got {points}")
+      for method in ("integer", "moment")
+      for points in ("0", "-2")),
+    *((["derivative", "--method", method, "--function", "t2", "--n", n],
+       f"--n must be >= 1, got {n}")
+      for method in ("gl", "diethelm")
+      for n in ("0", "-4")),
+    (["derivative", "--method", "gl", "--function", "t2", "--n", "10", "0"],
+     "--n must be >= 1, got 0"),
+    (["indirect", "--n", "0"], "--n must be >= 1, got 0"),
+    (["indirect", "--example", "ex4-moment", "--n", "-1"], "--n must be >= 1, got -1"),
+    (["indirect", "--eps", "-1"], "--eps must lie in [0, 1), got -1.0"),
+    (["indirect", "--eps", "2"], "--eps must lie in [0, 1), got 2.0"),
+    (["indirect", "--example", "ex4-moment", "--eps", "1"], "--eps must lie in [0, 1), got 1.0"),
+    (["indirect", "--example", "ex4-moment", "--eps", "0"],
+     "ex4-moment needs --eps > 0: its scaled state is singular at t = 0"),
+]
+
+
+@pytest.mark.parametrize("argv,message", OUT_OF_RANGE,
+                         ids=[" ".join(argv) for argv, _ in OUT_OF_RANGE])
+def test_out_of_range_size_exits_1(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"fracvar: {message}\n"
+    assert not out.exists()
+
+
 def test_empty_alpha_list_from_config_exits_1(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[table-b]\nalpha =\n")
@@ -369,7 +407,7 @@ def test_indirect_ill_conditioned_is_a_failure_record(tmp_path, capsys, monkeypa
 
 
 # ---------------------------------------------------------------------------
-# CSV writer: column-wise formatting against the row-wise reference
+# CSV writer: column-wise formatting against the per-cell reference
 # ---------------------------------------------------------------------------
 
 
@@ -422,15 +460,21 @@ WRITER_CASES = {
     "bounds-hadamard": ["bounds", "--function", "exp2t", "--method", "hadamard", "--N", "2", "5",
                         "--points", "10", "--quad-n", "500"],
     "failing-run": ["direct", "--example", "ex3", "--n", "10", "--tol", "1e-30"],
+    "derivative-diethelm-large": ["derivative", "--function", "t4", "--method", "diethelm",
+                                  "--n", "20000"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(WRITER_CASES))
 def test_csv_writer_matches_rowwise_reference(tmp_path, case):
-    header, rows, failures = command_output(WRITER_CASES[case])
+    header, columns, failures = command_output(WRITER_CASES[case])
     assert bool(failures) == (case == "failing-run")
-    cli._write_csv(tmp_path / "columns.csv", header, rows)
-    write_csv_rowwise(tmp_path / "rows.csv", header, rows)
+    if case != "failing-run":
+        assert len(columns) == len(header)
+    assert all(isinstance(c, np.ndarray) and c.shape == columns[0].shape == (c.size,)
+               for c in columns)
+    cli._write_csv(tmp_path / "columns.csv", header, columns)
+    write_csv_rowwise(tmp_path / "rows.csv", header, zip(*columns))
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
@@ -441,11 +485,57 @@ def test_csv_writer_cell_kinds(tmp_path):
         (np.int64(12), 10**17, np.True_, True, np.float64(5e-324), -float("inf"), 1e17, 3, 1.5),
     ]
     header = ("a", "b", "c", "d", "e", "f", "g", "h", "i")
-    cli._write_csv(tmp_path / "columns.csv", header, rows)
+    cli._write_csv(tmp_path / "columns.csv", header, cli._columns(rows))
     write_csv_rowwise(tmp_path / "rows.csv", header, rows)
     text = (tmp_path / "columns.csv").read_text()
     assert text == (tmp_path / "rows.csv").read_text()
     assert text.splitlines()[2] == "-1,0,0,0,-1e-300,inf,-0,2.5,1"
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True, width=64)
+_COLUMN_KINDS = {
+    "float": lambda n: hnp.arrays(np.float64, n, elements=_FLOATS),
+    "int": lambda n: hnp.arrays(np.int64, n),
+    "bool": lambda n: hnp.arrays(np.bool_, n),
+}
+
+
+@st.composite
+def _column_sets(draw):
+    n = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=6))
+    return [draw(_COLUMN_KINDS[kind](n)) for kind in kinds]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(columns=_column_sets())
+def test_csv_writer_property_matches_per_cell_reference(tmp_path, columns):
+    # float64 columns cover subnormals, signed zeros, infinities and nans
+    header = [f"c{i}" for i in range(len(columns))]
+    cli._write_csv(tmp_path / "columns.csv", header, columns)
+    write_csv_rowwise(tmp_path / "rows.csv", header, zip(*columns))
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        CATALOG["t2"].x,
+        CATALOG["t4"].x,
+        CATALOG["exp2t"].x,
+        example3_minimizer,
+        lambda t: indirect.analytic_solution_example2(0.5, t),
+        lambda t: indirect.exact_solution_example4(0.5, t),
+    ],
+    ids=["t2", "t4", "exp2t", "ex3", "ex2", "ex4"],
+)
+def test_from_function_matches_per_node_float64_evaluation(f):
+    # the sampled curves and the exact columns evaluate per node on Python
+    # floats; numpy's array pow would differ in the last bit at some nodes
+    mesh = Mesh(0.0, 1.0, 20000)
+    per_node = np.array([f(t) for t in mesh.nodes()], dtype=float)
+    assert SampledCurve.from_function(mesh, f).values.tobytes() == per_node.tobytes()
 
 
 # ---------------------------------------------------------------------------
