@@ -13,8 +13,11 @@ indirect-method curves, and the truncation-bound dominance checks:
 All values may come from an INI config file (one section per subcommand,
 ``--config PATH``); command-line flags override file values.  Each
 subcommand returns its table as columns, one 1-D numpy array per CSV
-column, and the writer picks each column's format from its dtype: integers
-and booleans in full, floats with 17 significant digits.  Output is a
+column, joined from one block per run of its sweep; the writer picks each
+column's format from its dtype: integers and booleans in full, floats with
+17 significant digits.  The four expansion routes of ``derivative`` and
+``bounds`` (integer, moment, Atanackovic, Hadamard) share one per-point
+sweep, ``_expansion_sweep``.  Output is a
 headed CSV with LF line endings, so identical configs produce
 byte-identical files.
 
@@ -103,11 +106,6 @@ def _write_csv(path: str, header, columns) -> None:
         fh.write("".join([line % row for row in zip(*(c.tolist() for c in columns))]))
 
 
-def _columns(rows) -> list:
-    """Row tuples as columns; each column takes the dtype numpy gives it."""
-    return [np.asarray(column) for column in zip(*rows)]
-
-
 def _concatenated(blocks) -> list:
     """Per-run tuples of column arrays, joined into one array per column."""
     return [np.concatenate(parts) for parts in zip(*blocks)]
@@ -166,45 +164,58 @@ def cmd_table_b(opts: _Options) -> tuple:
         raise UsageError("all alpha values must lie in (0, 1)")
     if any(n < 1 for n in ns):
         raise UsageError("all N values must be >= 1")
-    rows = []
-    for a in alphas:
-        for n in ns:
-            rows.append((a, n, expansions.moment_coeffs(a, n).B))
-    return ("alpha", "N", "B"), _columns(rows), []
+    columns = [
+        np.repeat(alphas, len(ns)),
+        np.tile(ns, len(alphas)),
+        expansions.b_table(alphas, ns).ravel(),
+    ]
+    return ("alpha", "N", "B"), columns, []
 
 
 def _eval_grid(a: float, b: float, points: int) -> np.ndarray:
     return np.linspace(a, b, points + 1)[1:]  # expansions are singular at a
 
 
-def _moment_sweep(func, method, exact, alpha, a, grid, Ns, quad_n):
-    """Moment-route approximations at each grid point for each N of a sweep.
+def _expansion_sweep(func, method, exact, alpha, a, grid, Ns, quad_n):
+    """Expansion approximations at each grid point for each N of a sweep.
 
-    A point's s, x(t) and dx/ds, its moments at max(Ns) and exact(t) are
-    computed once and shared; each N evaluates the expansion formula on the
-    moment prefix it uses.  Yields (N, [(t, approx, exact), ...], error) in
-    sweep order, where error is the numerical failure at the first point
-    that could not be evaluated (the points list stops there), or None.
+    Each point's exact(t) is computed once; on the moment routes so are its
+    s, x(t) and dx/ds and its moments at max(Ns), and each N evaluates the
+    expansion formula on the moment prefix it uses.  Yields (N, t, approx,
+    exact, error) in sweep order, with t, approx and exact arrays that stop
+    before the first point that raised a numerical error, and that error
+    (or None).  An integer order beyond the function's derivative bundle is
+    a usage error.
     """
+    N_max = max(Ns)
+    if method == "integer" and N_max > func.bundle.order:
+        raise UsageError(
+            f"integer method on {func.name!r} needs N <= {func.bundle.order}, got {N_max}"
+        )
     hadamard = method in _HADAMARD_METHODS
     xdot = None if method == "atanackovic" else func.xdot
-    N_max = max(Ns)
     shared, error = [], None
     for t in grid:
         try:
-            point = expansions._moment_point(func.x, xdot, t, a, right=False, hadamard=hadamard)
-            moments = expansions.moment_values(func.x, N_max, t, a, quad_n, hadamard=hadamard)
-            shared.append((t, point, moments, exact(t)))
+            if method == "integer":
+                point = moments = None
+            else:
+                point = expansions._moment_point(func.x, xdot, t, a, right=False, hadamard=hadamard)
+                moments = expansions.moment_values(func.x, N_max, t, a, quad_n, hadamard=hadamard)
+            shared.append((point, moments, exact(t)))
         except NUMERICAL_ERRORS as exc:
             error = exc
             break
+    ts = grid[: len(shared)]
+    exacts = np.array([ex for _, _, ex in shared], dtype=float)
     for N in Ns:
-        coeffs = expansions.moment_coeffs(alpha, N)
-        points = [
-            (t, expansions.moment_expansion(coeffs, *point, moments), ex)
-            for t, point, moments, ex in shared
-        ]
-        yield N, points, error
+        if method == "integer":
+            approx = [expansions.expand_integer(func.bundle, alpha, N, t, a) for t in ts]
+        else:
+            coeffs = expansions.moment_coeffs(alpha, N)
+            approx = [expansions.moment_expansion(coeffs, *point, moments)
+                      for point, moments, _ in shared]
+        yield N, ts, np.array(approx, dtype=float), exacts, error
 
 
 def _reference(func, method: str, alpha: float) -> tuple:
@@ -229,12 +240,13 @@ def _at_least_one(opts: _Options, name: str, default: int) -> int:
     return value
 
 
-def _reject_unused(opts: _Options, method: str, names) -> None:
-    """A command-line flag that ``method`` does not read is a usage error.
-    Config-file values are not checked: one section serves every method."""
+def _reject_unused(opts: _Options, user: str, names) -> None:
+    """A command-line flag that ``user`` (a method or an example) does not
+    read is a usage error.  Config-file values are not checked: one section
+    serves every method and example."""
     given = [f"--{name}" for name in names if opts.on_command_line(name)]
     if given:
-        raise UsageError(f"method {method!r} does not use {', '.join(given)}")
+        raise UsageError(f"{user} does not use {', '.join(given)}")
 
 
 def cmd_derivative(opts: _Options) -> tuple:
@@ -251,9 +263,10 @@ def cmd_derivative(opts: _Options) -> tuple:
     func = CATALOG[fname]
     a, b, exact = _reference(func, method, alpha)
 
-    failures = []
+    blocks, failures = [], []
     if method in EXPANSION_METHODS:
-        _reject_unused(opts, method, ["n", "quad-n"] if method == "integer" else ["n"])
+        unused = ["n", "quad-n"] if method == "integer" else ["n"]
+        _reject_unused(opts, f"method {method!r}", unused)
         sweep = opts.get("N", [1, 2, 3])
         if not sweep:
             raise UsageError("derivative needs a nonempty N list")
@@ -263,32 +276,20 @@ def cmd_derivative(opts: _Options) -> tuple:
         elif any(N < 1 for N in sweep):
             raise UsageError(f"method {method!r} needs N >= 1")
         grid = _eval_grid(a, b, _at_least_one(opts, "points", 100))
-        rows = []
-        if method == "integer":
-            for N in sweep:
-                try:
-                    for t in grid:
-                        approx = expansions.expand_integer(func.bundle, alpha, N, t, a)
-                        ex = exact(t)
-                        rows.append((N, t, ex, approx, abs(approx - ex)))
-                except NUMERICAL_ERRORS as exc:
-                    failures.append({"run": f"{method}:{fname}:N={N}", "error": str(exc)})
-        else:
-            quad_n = _at_least_one(opts, "quad-n", 2000)
-            for N, points_N, exc in _moment_sweep(func, method, exact, alpha, a, grid, sweep, quad_n):
-                rows.extend((N, t, ex, approx, abs(approx - ex)) for t, approx, ex in points_N)
-                if exc is not None:
-                    failures.append({"run": f"{method}:{fname}:N={N}", "error": str(exc)})
+        quad_n = None if method == "integer" else _at_least_one(opts, "quad-n", 2000)
+        study = _expansion_sweep(func, method, exact, alpha, a, grid, sweep, quad_n)
+        for N, t, approx, ex, exc in study:
+            blocks.append((np.full(len(t), N), t, ex, approx, np.abs(approx - ex)))
+            if exc is not None:
+                failures.append({"run": f"{method}:{fname}:N={N}", "error": str(exc)})
         header = ("N", "t", "exact", "approx", "abs_error")
-        columns = _columns(rows)
     else:
-        _reject_unused(opts, method, ["N", "points", "quad-n"])
+        _reject_unused(opts, f"method {method!r}", ["N", "points", "quad-n"])
         sweep = opts.get("n", [100])
         if not sweep:
             raise UsageError("derivative needs a nonempty n list")
         if any(n < 1 for n in sweep):
             raise UsageError(f"--n must be >= 1, got {min(sweep)}")
-        blocks = []
         for n in sweep:
             try:
                 mesh = Mesh(a, b, n)
@@ -306,8 +307,7 @@ def cmd_derivative(opts: _Options) -> tuple:
             except NUMERICAL_ERRORS as exc:
                 failures.append({"run": f"{method}:{fname}:n={n}", "error": str(exc)})
         header = ("n", "t", "exact", "approx", "abs_error")
-        columns = _concatenated(blocks)
-    return header, columns, failures
+    return header, _concatenated(blocks), failures
 
 
 def cmd_direct(opts: _Options) -> tuple:
@@ -379,6 +379,11 @@ def cmd_indirect(opts: _Options) -> tuple:
         raise UsageError(f"--eps must lie in [0, 1), got {eps}")
     if example == "ex4-moment" and eps == 0.0:
         raise UsageError("ex4-moment needs --eps > 0: its scaled state is singular at t = 0")
+    if example.startswith("ex2"):
+        _reject_unused(opts, f"example {example!r}", ["eps"])
+    lowest = 0 if example == "ex2-integer" else 2
+    if min(Ns) < lowest:
+        raise UsageError(f"example {example!r} needs N >= {lowest}, got {min(Ns)}")
 
     mesh = Mesh(0.0, 1.0, n_mesh)
     tnodes = mesh.nodes()
@@ -427,36 +432,23 @@ def cmd_bounds(opts: _Options) -> tuple:
     a, b, exact = _reference(func, method, alpha)
 
     grid = _eval_grid(a, b, _at_least_one(opts, "points", 20))
-    rows = []
-    failures = []
-
-    def record(N, t, approx, ex, bound):
-        err = abs(approx - ex)
-        rows.append((N, t, err, bound, err <= bound + DOMINANCE_SLACK))
-
     if method == "integer":
-        _reject_unused(opts, method, ["quad-n"])
-        for N in Ns:
-            try:
-                for t in grid:
-                    approx = expansions.expand_integer(func.bundle, alpha, N, t, a)
-                    bound = expansions.bound_integer(func.integer_m(N, t), alpha, N, t, a)
-                    record(N, t, approx, exact(t), bound)
-            except NUMERICAL_ERRORS as exc:
-                failures.append({"run": f"bounds:{method}:{fname}:N={N}", "error": str(exc)})
-    else:
-        quad_n = _at_least_one(opts, "quad-n", 20000)
-        for N, points_N, exc in _moment_sweep(func, method, exact, alpha, a, grid, Ns, quad_n):
-            for t, approx, ex in points_N:
-                if method == "moment":
-                    bound = expansions.bound_moment(func.moment_l2(t), alpha, N, t, a)
-                else:
-                    bound = expansions.bound_hadamard(func.hadamard_lmax(t), alpha, N, t, a)
-                record(N, t, approx, ex, bound)
-            if exc is not None:
-                failures.append({"run": f"bounds:{method}:{fname}:N={N}", "error": str(exc)})
+        _reject_unused(opts, f"method {method!r}", ["quad-n"])
+    quad_n = None if method == "integer" else _at_least_one(opts, "quad-n", 20000)
+    bound = {
+        "integer": lambda N, t: expansions.bound_integer(func.integer_m(N, t), alpha, N, t, a),
+        "moment": lambda N, t: expansions.bound_moment(func.moment_l2(t), alpha, N, t, a),
+        "hadamard": lambda N, t: expansions.bound_hadamard(func.hadamard_lmax(t), alpha, N, t, a),
+    }[method]
+    blocks, failures = [], []
+    for N, t, approx, ex, exc in _expansion_sweep(func, method, exact, alpha, a, grid, Ns, quad_n):
+        err = np.abs(approx - ex)
+        bounds = np.array([bound(N, ti) for ti in t], dtype=float)
+        blocks.append((np.full(len(t), N), t, err, bounds, err <= bounds + DOMINANCE_SLACK))
+        if exc is not None:
+            failures.append({"run": f"bounds:{method}:{fname}:N={N}", "error": str(exc)})
     header = ("N", "t", "abs_error", "bound", "dominated")
-    return header, _columns(rows), failures
+    return header, _concatenated(blocks), failures
 
 
 # ---------------------------------------------------------------------------

@@ -274,7 +274,7 @@ def test_quad_n_below_one_exits_1(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-#: Sizes out of range, with the usage message each gets.
+#: Sizes out of range and inputs an example ignores, with the usage message each gets.
 OUT_OF_RANGE = [
     *((["derivative", "--method", method, "--function", "t4", "--points", points],
        f"--points must be >= 1, got {points}")
@@ -297,6 +297,22 @@ OUT_OF_RANGE = [
     (["indirect", "--example", "ex4-moment", "--eps", "1"], "--eps must lie in [0, 1), got 1.0"),
     (["indirect", "--example", "ex4-moment", "--eps", "0"],
      "ex4-moment needs --eps > 0: its scaled state is singular at t = 0"),
+    # orders the derivative bundle or the indirect examples do not have
+    *(([command, "--method", "integer", "--function", function, "--N", *Ns],
+       f"integer method on {function!r} needs N <= 12, got 13")
+      for command in ("derivative", "bounds")
+      for function, Ns in (("t4", ["13"]), ("exp2t", ["2", "13", "5"]))),
+    (["indirect", "--example", "ex2-moment", "--N", "1"],
+     "example 'ex2-moment' needs N >= 2, got 1"),
+    (["indirect", "--example", "ex4-moment", "--N", "4", "1"],
+     "example 'ex4-moment' needs N >= 2, got 1"),
+    (["indirect", "--example", "ex2-integer", "--N", "-1"],
+     "example 'ex2-integer' needs N >= 0, got -1"),
+    # only the ex4 TPBVP reads eps
+    (["indirect", "--example", "ex2-integer", "--eps", "0"],
+     "example 'ex2-integer' does not use --eps"),
+    (["indirect", "--example", "ex2-moment", "--eps", "0.5"],
+     "example 'ex2-moment' does not use --eps"),
 ]
 
 
@@ -485,7 +501,8 @@ def test_csv_writer_cell_kinds(tmp_path):
         (np.int64(12), 10**17, np.True_, True, np.float64(5e-324), -float("inf"), 1e17, 3, 1.5),
     ]
     header = ("a", "b", "c", "d", "e", "f", "g", "h", "i")
-    cli._write_csv(tmp_path / "columns.csv", header, cli._columns(rows))
+    columns = [np.asarray(column) for column in zip(*rows)]  # numpy picks each dtype
+    cli._write_csv(tmp_path / "columns.csv", header, columns)
     write_csv_rowwise(tmp_path / "rows.csv", header, rows)
     text = (tmp_path / "columns.csv").read_text()
     assert text == (tmp_path / "rows.csv").read_text()
@@ -583,9 +600,13 @@ def test_bounds_shared_moments_match_per_n_expansions(tmp_path, method, function
         assert abs(err - abs(ref - exact)) <= 1e-13 * abs(ref), (N, t)
 
 
-def test_moment_route_failure_is_one_record_per_n(tmp_path, capsys, monkeypatch):
-    # an exact value that raises at the fourth point stops every N there:
-    # three rows per N, then one failure record per N
+@pytest.mark.parametrize("command,method", [
+    ("derivative", "integer"), ("derivative", "moment"), ("bounds", "integer"), ("bounds", "moment"),
+])
+def test_moment_route_failure_is_one_record_per_n(tmp_path, capsys, monkeypatch, command, method):
+    # on the integer and the moment route alike, an exact value that raises
+    # at the fourth point stops every N there: three rows per N, then one
+    # failure record per N
     func = CATALOG["exp2t"]
 
     def rl_exact(alpha, t):
@@ -595,11 +616,13 @@ def test_moment_route_failure_is_one_record_per_n(tmp_path, capsys, monkeypatch)
 
     monkeypatch.setitem(CATALOG, "exp2t", dataclasses.replace(func, rl_exact=rl_exact))
     out = tmp_path / "d.csv"
-    code = run(["derivative", "--function", "exp2t", "--method", "moment", "--N", "2", "4",
-                "--points", "10", "--quad-n", "100", "--out", str(out)])
+    quad_n = [] if method == "integer" else ["--quad-n", "100"]
+    code = run([command, "--function", "exp2t", "--method", method, "--N", "2", "4",
+                "--points", "10", *quad_n, "--out", str(out)])
     assert code == 2
     failures = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert [f["run"] for f in failures] == ["moment:exp2t:N=2", "moment:exp2t:N=4"]
+    prefix = "bounds:" if command == "bounds" else ""
+    assert [f["run"] for f in failures] == [f"{prefix}{method}:exp2t:N={N}" for N in (2, 4)]
     assert all(f["error"] == "no series value" for f in failures)
     _, rows = read_csv(out)
     assert [(int(r[0]), float(r[1])) for r in rows] == [
