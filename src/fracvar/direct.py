@@ -165,23 +165,11 @@ def _assemble_state(problem: DirectProblem, mesh: Mesh, gl: _GlRows, interior):
     return mesh.nodes()[1:], x[..., 1:], xdot, gl.apply(x)
 
 
-def _psi(problem: DirectProblem, mesh: Mesh, gl: _GlRows) -> Callable:
-    def psi(interior):
-        state = _assemble_state(problem, mesh, gl, interior)
-        total = mesh.h * np.sum(_eval_on(problem.lagrangian.L, *state), axis=-1)
-        return float(total) if total.ndim == 0 else total
-
-    return psi
-
-
 def discretize(problem: DirectProblem, n: int) -> Callable:
     """Discretized functional Psi(x_1..x_{n-1}) =
     h * sum_{i=1..n} L(t_i, x_i, (x_i - x_{i-1})/h, h^(-alpha) sum w_k x_{i-k});
     a batch (k, m) of states gives k values."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    mesh = Mesh(problem.a, problem.b, n)
-    return _psi(problem, mesh, _GlRows(problem.alpha, mesh))
+    return stationarity(problem, n).psi
 
 
 def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
@@ -204,6 +192,11 @@ def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
     inverse = _LowerToeplitz(_binomial_weights(-problem.alpha, n - 2))
     # L^-T u for u^T, row n of G on the interior nodes
     inv_t_u = inverse.rmatvec(gl.w[n - 1 : 0 : -1])
+
+    def psi(interior):
+        state = _assemble_state(problem, mesh, gl, interior)
+        total = mesh.h * np.sum(_eval_on(lag.L, *state), axis=-1)
+        return float(total) if total.ndim == 0 else total
 
     def residual(interior) -> np.ndarray:
         state = _assemble_state(problem, mesh, gl, interior)
@@ -241,7 +234,7 @@ def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
         c = lam_n * (inv_t_u @ (a / lam_int)) / (1.0 + lam_n * (inv_t_u @ (inv_t_u / lam_int)))
         return inverse.matvec((a - c * inv_t_u) / lam_int) * gl.h_alpha
 
-    return StationaritySystem(n, residual, structured_step, _psi(problem, mesh, gl))
+    return StationaritySystem(n, residual, structured_step, psi)
 
 
 def solve_direct(
@@ -332,11 +325,11 @@ def _solve_affine(residual: Callable, m: int) -> np.ndarray:
     return x
 
 
-def _newton(system, guess: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Damped Newton on a StationaritySystem (steps as in solve_direct), or
-    on a bare residual callable, which always takes the dense step."""
-    if not isinstance(system, StationaritySystem):
-        system = StationaritySystem(len(guess) + 1, system)
+def _newton(
+    system: StationaritySystem, guess: np.ndarray, tol: float, max_iter: int
+) -> np.ndarray:
+    """Damped Newton on a StationaritySystem (steps as in solve_direct); a
+    system without ``structured_step`` always takes the dense step."""
     residual = system.residual
     x = np.array(guess, dtype=float)
     r = residual(x)

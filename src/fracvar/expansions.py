@@ -42,7 +42,8 @@ from .specfun import gamma, stirling_function
 
 
 class ExpansionDomainError(ValueError):
-    """Expansion evaluated at its singular terminal point."""
+    """Expansion evaluated outside its domain: at its singular terminal
+    point, or at an order too high to form its coefficient in floats."""
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +145,21 @@ def integer_coefficient(alpha: float, k: int) -> float:
     """Coefficient of x^(k)(t) (t-a)^(k-alpha) in the integer-order expansion:
 
         (-1)^(k-1) * alpha / (k! (k - alpha) Gamma(1 - alpha)).
+
+    Raises :class:`ExpansionDomainError` when the denominator is not a
+    finite float (from k = 169 on, depending on alpha).
     """
     sign = 1.0 if k % 2 == 1 else -1.0
-    return sign * alpha / (math.factorial(k) * (k - alpha) * gamma(1.0 - alpha))
+    try:
+        denominator = math.factorial(k) * (k - alpha) * gamma(1.0 - alpha)
+    except OverflowError:  # k! alone is past the float range
+        denominator = math.inf
+    if not math.isfinite(denominator):
+        raise ExpansionDomainError(
+            f"order {k} too high for the integer expansion: "
+            f"k! (k - alpha) Gamma(1 - alpha) overflows a float at alpha={alpha!r}"
+        )
+    return sign * alpha / denominator
 
 
 def expand_integer(

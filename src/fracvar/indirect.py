@@ -24,14 +24,14 @@ matrix numerically singular from N = 6 on.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .direct import NonAffineSystemError, SingularSystemError
-from .expansions import DerivativeBundle, MomentCoeffs, integer_coefficient, moment_coeffs
+from .direct import SingularSystemError
+from .expansions import DerivativeBundle, integer_coefficient, moment_coeffs
 from .operators import Mesh, SampledCurve
 from .specfun import gamma
 
@@ -96,29 +96,29 @@ def _example2_m1(alpha: float, N: int) -> float:
     return -total / (2.0 * gamma(3.0 - alpha))
 
 
-def _example2_moment_m(coeffs: MomentCoeffs) -> float:
-    al, N = coeffs.alpha, coeffs.N
-    corr = sum(
-        coeffs.c(p) * (1.0 - p) / ((1.0 - al) * (2.0 - p - al)) for p in range(2, N + 1)
-    )
-    return (coeffs.B - coeffs.A / (1.0 - al) - corr) / (2.0 * (2.0 - al))
-
-
-def closed_form_coeffs(alpha: float, N: int) -> ClosedFormCoeffs:
-    """All Example 2 closed-form coefficients at once (requires N >= 2)."""
+def _example2_moment_terms(alpha: float, N: int) -> tuple:
+    """M and the C_p terms of the Example 2 moment route (requires N >= 2)."""
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
     coeffs = moment_coeffs(alpha, N)
     for p in range(2, N + 1):
         if abs(2.0 - p - alpha) < 1e-12:
             raise ZeroDivisionError(f"degenerate denominator 2-p-alpha at p={p}")
-    m1 = _example2_m1(alpha, N)
+    corr = sum(
+        coeffs.c(p) * (1.0 - p) / ((1.0 - alpha) * (2.0 - p - alpha)) for p in range(2, N + 1)
+    )
+    m = (coeffs.B - coeffs.A / (1.0 - alpha) - corr) / (2.0 * (2.0 - alpha))
     cp_terms = np.array(
         [coeffs.c(p) / (2.0 * p * (2.0 - p - alpha)) for p in range(2, N + 1)]
     )
-    return ClosedFormCoeffs(
-        alpha, N, m1, 1.0 - m1, _example2_moment_m(coeffs), cp_terms
-    )
+    return m, cp_terms
+
+
+def closed_form_coeffs(alpha: float, N: int) -> ClosedFormCoeffs:
+    """All Example 2 closed-form coefficients at once (requires N >= 2)."""
+    m, cp_terms = _example2_moment_terms(alpha, N)
+    m1 = _example2_m1(alpha, N)
+    return ClosedFormCoeffs(alpha, N, m1, 1.0 - m1, m, cp_terms)
 
 
 def solve_example2_integer(alpha: float, N: int) -> Callable:
@@ -149,14 +149,14 @@ def solve_example2_moment_closed(alpha: float, N: int) -> Callable:
     with M(alpha, N) = [B - A/(1-alpha)
                         - sum_p C_p (1-p)/((1-alpha)(2-p-alpha))] / (2(2-alpha)).
     """
-    cf = closed_form_coeffs(alpha, N)
-    lin = 1.0 - cf.M + float(np.sum(cf.Cp_terms))
+    m, cp_terms = _example2_moment_terms(alpha, N)
+    lin = 1.0 - m + float(np.sum(cp_terms))
 
     def x(t):
         t = np.asarray(t)
-        out = cf.M * t ** (2.0 - alpha) + lin * t
+        out = m * t ** (2.0 - alpha) + lin * t
         for p in range(2, N + 1):
-            out = out - cf.Cp_terms[p - 2] * t**p
+            out = out - cp_terms[p - 2] * t**p
         return out
 
     return x
@@ -188,17 +188,17 @@ _GRADING = 2.0
 
 @dataclass(frozen=True)
 class TpBvpSystem:
-    """First-order ODE system y' = rhs(t, y) with split boundary conditions.
+    """Affine first-order ODE system y' = F(t) y + g(t) with split boundary
+    conditions.
+
+    ``coefficients(t)`` maps a 1-D array of times to ``(F, g)`` of shapes
+    (len(t), m, m) and (len(t), m); the system is affine by construction.
+    ``rhs(t, y)`` is the same map at one time and one state, derived from
+    ``coefficients`` when not given; the solver never calls it.
 
     ``left_conditions`` / ``right_conditions`` are (component index, value)
     pairs imposed at t = a and t = b; together they must pin all ``dimension``
     degrees of freedom.
-
-    ``coefficients``, when given, states the system as affine by
-    construction: ``coefficients(t)`` maps a 1-D array of times to
-    ``(F, g)`` of shapes (len(t), m, m) and (len(t), m) with
-    y' = F(t) y + g(t); ``rhs`` must then be the same map.  Without it the
-    solver probes ``rhs`` for F and g.
 
     ``scale_powers`` (empty, or one per component) lets the solver work in
     z_i = t^(-k_i) y_i, which keeps the collocation matrix well conditioned
@@ -207,13 +207,15 @@ class TpBvpSystem:
     """
 
     dimension: int
-    rhs: Callable
+    coefficients: Callable
     left_conditions: tuple
     right_conditions: tuple
-    coefficients: Optional[Callable] = None
     scale_powers: tuple = ()
+    rhs: Optional[Callable] = None
 
     def __post_init__(self):
+        if self.rhs is None:
+            object.__setattr__(self, "rhs", _rhs_from(self.coefficients))
         object.__setattr__(self, "left_conditions", tuple(self.left_conditions))
         object.__setattr__(self, "right_conditions", tuple(self.right_conditions))
         object.__setattr__(self, "scale_powers", tuple(float(k) for k in self.scale_powers))
@@ -281,9 +283,7 @@ def _moment_tpbvp(alpha: float, N: int, fill: Callable, x_right: float) -> TpBvp
     left = [(0, 0.0)] + [(i, 0.0) for i in v]
     right = [(0, x_right)] + [(N + i, 0.0) for i in v]
     powers = (0.0, *(p - 1.0), 0.0, *(1.0 - p))
-    return TpBvpSystem(
-        m, _rhs_from(coefficients), tuple(left), tuple(right), coefficients, powers
-    )
+    return TpBvpSystem(m, coefficients, tuple(left), tuple(right), powers)
 
 
 def assemble_tpbvp_example2(alpha: float, N: int) -> TpBvpSystem:
@@ -354,8 +354,7 @@ def solve_linear_tpbvp(
 
         z' = (S^-1 F S - diag(k/t)) z + S^-1 g,    S = diag(t^k),
 
-    at the cell midpoints, with F and g from ``system.coefficients`` (or,
-    without it, from probing ``rhs`` once per basis vector and midpoint).
+    at the cell midpoints, with F and g from ``system.coefficients``.
     The box scheme is written straight into LAPACK band storage (rows: left
     conditions, cell rows, right conditions) and factored and solved in
     place by ``dgbtrf``/``dgbtrs``.  Curves are mapped back by y = s^k z at
@@ -370,10 +369,10 @@ def solve_linear_tpbvp(
     collocation values, nodes below a + eps by the same linear extension
     the boundary rows constrain.
 
-    Raises :class:`NonAffineSystemError` when probing shows the rhs is not
-    affine in the state, :class:`SingularSystemError` when the collocation
-    matrix cannot be factorized, and :class:`IllConditionedSystemError` when
-    one step of iterative refinement would change the solution by more than
+    Raises :class:`ValueError` when ``coefficients`` returns arrays of the
+    wrong shapes, :class:`SingularSystemError` when the collocation matrix
+    cannot be factorized, and :class:`IllConditionedSystemError` when one
+    step of iterative refinement would change the solution by more than
     REFINEMENT_RTOL relative (the correction is not applied).
     """
     if eps < 0.0 or eps >= mesh.b - mesh.a:
@@ -388,7 +387,13 @@ def solve_linear_tpbvp(
     mids = 0.5 * (s[:-1] + s[1:])
     h = np.diff(s)
 
-    F, g = _tpbvp_coefficients(system, mids)
+    F, g = system.coefficients(mids)
+    F, g = np.asarray(F, dtype=float), np.asarray(g, dtype=float)
+    if F.shape != (n, m, m) or g.shape != (n, m):
+        raise ValueError(
+            f"coefficients returned shapes {F.shape}, {g.shape}; "
+            f"expected {(n, m, m)}, {(n, m)}"
+        )
     scale = mids[:, None] ** k
     # cell j couples (z_j, z_{j+1}): [-I/h - A/2 | I/h - A/2] z = S^-1 g with
     # A = S^-1 F S - diag(k/t); built in one buffer to keep peak memory low
@@ -466,42 +471,6 @@ def solve_linear_tpbvp(
             vals[below] = col[0] + slope * (t_out[below] - a_eff)
         curves.append(SampledCurve(mesh, vals))
     return curves
-
-
-def _tpbvp_coefficients(system: TpBvpSystem, t: np.ndarray) -> tuple:
-    """(F, g) of y' = F y + g at the times t, shapes (len(t), m, m), (len(t), m)."""
-    m = system.dimension
-    if system.coefficients is not None:
-        F, g = system.coefficients(t)
-        F, g = np.asarray(F, dtype=float), np.asarray(g, dtype=float)
-        if F.shape != (t.size, m, m) or g.shape != (t.size, m):
-            raise ValueError(
-                f"coefficients returned shapes {F.shape}, {g.shape}; "
-                f"expected {(t.size, m, m)}, {(t.size, m)}"
-            )
-        return F, g
-    _check_affine(system, (t[0], t[t.size // 2], t[-1]))
-    g = np.array([system.rhs(tm, np.zeros(m)) for tm in t], dtype=float)
-    probes = np.array([[system.rhs(tm, e) for e in np.eye(m)] for tm in t], dtype=float)
-    return probes.transpose(0, 2, 1) - g[:, :, None], g
-
-
-def _check_affine(system: TpBvpSystem, ts: Sequence[float]) -> None:
-    rng = np.random.default_rng(7)
-    m = system.dimension
-    for t in ts:
-        g = np.asarray(system.rhs(t, np.zeros(m)), dtype=float)
-        y1 = rng.standard_normal(m)
-        y2 = rng.standard_normal(m)
-        lhs = np.asarray(system.rhs(t, y1 + y2), dtype=float) - g
-        rhs = (
-            np.asarray(system.rhs(t, y1), dtype=float)
-            + np.asarray(system.rhs(t, y2), dtype=float)
-            - 2.0 * g
-        )
-        scale = 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(g))
-        if np.max(np.abs(lhs - rhs)) > 1e-8 * scale:
-            raise NonAffineSystemError(f"rhs is not affine in the state at t={t}")
 
 
 # ---------------------------------------------------------------------------

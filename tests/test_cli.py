@@ -422,6 +422,29 @@ def test_indirect_ill_conditioned_is_a_failure_record(tmp_path, capsys, monkeypa
     assert {int(r[0]) for r in rows} == {2}
 
 
+def test_indirect_integer_order_past_float_range_is_a_failure_record(tmp_path, capsys):
+    # from N = 170 on, k! (k - alpha) Gamma(1 - alpha) overflows a float
+    out = tmp_path / "ind.csv"
+    code = run(["indirect", "--example", "ex2-integer", "--N", "169", "170",
+                "--n", "20", "--out", str(out)])
+    assert code == 2
+    failures = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert [f["run"] for f in failures] == ["ex2-integer:N=170"]
+    _, rows = read_csv(out)
+    assert {int(r[0]) for r in rows} == {169}
+
+
+def test_indirect_ex2_moment_runs_past_integer_orders(tmp_path):
+    # the moment route needs no integer-expansion coefficient
+    out = tmp_path / "ind.csv"
+    assert run(["indirect", "--example", "ex2-moment", "--N", "171",
+                "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 401
+    exact = [indirect.analytic_solution_example2(0.5, float(r[1])) for r in rows]
+    assert max(abs(float(r[2]) - e) for r, e in zip(rows, exact)) <= 1e-4
+
+
 # ---------------------------------------------------------------------------
 # CSV writer: column-wise formatting against the per-cell reference
 # ---------------------------------------------------------------------------

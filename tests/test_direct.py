@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
-from fracvar import direct, indirect
+from fracvar import direct
 from fracvar.direct import (
     CONTINUATION_MIN_N,
     DirectProblem,
@@ -341,7 +341,7 @@ def test_newton_raises_when_halving_cannot_reduce_residual():
         return 1.0 + x**2
 
     with pytest.raises(NewtonConvergenceError, match="30 halvings"):
-        _newton(residual, np.zeros(1), 1e-10, 50)
+        _newton(StationaritySystem(2, residual), np.zeros(1), 1e-10, 50)
     # initial residual, one Jacobian column, 30 damped trials; no step taken
     assert len(calls) == 32
 
@@ -354,7 +354,8 @@ def test_continuation_converges_within_default_budget(n):
     curve = solve_direct(problem, n)
     interior = curve.values[1:-1]
     linear_guess = curve.mesh.nodes()[1:-1]  # x(0) = 0 and x(1) = 1
-    reference = _newton(stationarity(problem, n).residual, linear_guess, 1e-10, 200)
+    dense = StationaritySystem(n, stationarity(problem, n).residual)
+    reference = _newton(dense, linear_guess, 1e-10, 200)
     assert np.max(np.abs(interior - reference)) <= 1e-8
     assert np.max(np.abs(example3_residual(interior, n))) <= 1e-8
 
@@ -415,7 +416,8 @@ def dense_solve(problem, n, tol=1e-10, max_iter=50):
         guess = problem.x_a + (problem.x_b - problem.x_a) * (t[1:-1] - problem.a) / (
             problem.b - problem.a
         )
-    interior = _newton(stationarity(problem, n).residual, guess, tol, max_iter)
+    dense = StationaritySystem(n, stationarity(problem, n).residual)
+    interior = _newton(dense, guess, tol, max_iter)
     return np.concatenate(([problem.x_a], interior, [problem.x_b]))
 
 
@@ -540,7 +542,7 @@ def test_bare_residual_takes_dense_step(caplog):
     system = stationarity(example3_problem(), 12)
     guess = Mesh(0.0, 1.0, 12).nodes()[1:-1]
     with caplog.at_level(logging.DEBUG, logger="fracvar.direct"):
-        _newton(system.residual, guess, 1e-10, 50)
+        _newton(StationaritySystem(12, system.residual), guess, 1e-10, 50)
     assert {step[4] for step in newton_steps(caplog)} == {"dense"}
 
 
@@ -556,10 +558,6 @@ def test_stationarity_system_survives_replace():
 def test_linear_solve_rejects_nonaffine_example3(n):
     with pytest.raises(NonAffineSystemError):
         solve_direct(example3_problem(), n, linear=True)
-
-
-def test_nonaffine_error_shared_with_indirect():
-    assert indirect.NonAffineSystemError is NonAffineSystemError
 
 
 # ---------------------------------------------------------------------------

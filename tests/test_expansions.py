@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from fracvar.expansions import (
     expand_moment,
     hadamard_expand_integer,
     hadamard_reference,
+    integer_coefficient,
     moment_coeffs,
     moment_expansion,
     moment_values,
@@ -169,6 +171,18 @@ def test_expand_integer_left_error_decreases_for_exp():
 def test_expand_integer_left_domain_error():
     with pytest.raises(ExpansionDomainError):
         expand_integer(power_bundle(2), 0.5, 2, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("alpha, last", [(0.5, 169), (0.99, 168)])
+def test_integer_coefficient_past_float_range_raises(alpha, last):
+    # k! (k - alpha) Gamma(1 - alpha) overflows a float from k = last + 1 on
+    # (k! alone from k = 171); up to k = last the formula still holds
+    a = mpmath.mpf(alpha)
+    exact = (-1) ** (last - 1) * a / (mpmath.factorial(last) * (last - a) * mpmath.gamma(1 - a))
+    assert integer_coefficient(alpha, last) == pytest.approx(float(exact), rel=1e-13)
+    for k in (last + 1, last + 2, 171):
+        with pytest.raises(ExpansionDomainError):
+            integer_coefficient(alpha, k)
 
 
 def test_expand_integer_right_basic():

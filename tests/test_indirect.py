@@ -8,7 +8,6 @@ from fracvar.expansions import DerivativeBundle, integer_coefficient, moment_coe
 from fracvar.indirect import (
     HigherOrderLagrangian,
     IllConditionedSystemError,
-    NonAffineSystemError,
     TpBvpSystem,
     analytic_solution_example2,
     assemble_tpbvp_example2,
@@ -24,6 +23,19 @@ from fracvar.operators import Mesh, SampledCurve, gl_left_all, l2_error
 from fracvar.specfun import gamma
 
 ALPHA = 0.5
+
+
+def affine(F, g):
+    """``coefficients`` of y' = F(t) y + g(t), from F and g at one time."""
+
+    def coefficients(t):
+        return np.array([F(s) for s in t], dtype=float), np.array([g(s) for s in t], dtype=float)
+
+    return coefficients
+
+
+SCALAR_GROWTH = affine(lambda t: [[1.0]], lambda t: [0.0])  # y' = y
+IDENTITY_2 = affine(lambda t: np.eye(2), lambda t: np.zeros(2))  # y' = y in R^2
 
 
 def l2_against(mesh, values, exact):
@@ -245,7 +257,7 @@ def test_tpbvp_example4_l2_error_decreases_n2_to_n4():
 
 
 def test_solver_scalar_ivp_reaches_e():
-    system = TpBvpSystem(1, lambda t, y: np.array([y[0]]), ((0, 1.0),), ())
+    system = TpBvpSystem(1, SCALAR_GROWTH, ((0, 1.0),), ())
     curve = solve_linear_tpbvp(system, Mesh(0.0, 1.0, 200))[0]
     assert abs(curve.values[-1] - math.e) <= 1e-4
 
@@ -256,7 +268,7 @@ def test_solver_integrates_decoupled_costate_equation():
     mc = moment_coeffs(ALPHA, 3)
     c2 = mc.c(2)
     system = TpBvpSystem(
-        1, lambda t, y: np.array([-c2 * t ** (1.0 - 2.0 - ALPHA)]), (), ((0, 0.0),)
+        1, affine(lambda t: [[0.0]], lambda t: [-c2 * t ** (1.0 - 2.0 - ALPHA)]), (), ((0, 0.0),)
     )
     mesh = Mesh(0.5, 1.0, 400)
     curve = solve_linear_tpbvp(system, mesh)[0]
@@ -265,20 +277,21 @@ def test_solver_integrates_decoupled_costate_equation():
     assert np.max(np.abs(curve.values - exact)) <= 1e-6
 
 
-def test_solver_rejects_nonaffine_rhs():
-    system = TpBvpSystem(1, lambda t, y: np.array([y[0] ** 2 + 1.0]), ((0, 0.0),), ())
-    with pytest.raises(NonAffineSystemError):
-        solve_linear_tpbvp(system, Mesh(0.0, 1.0, 10))
-
-
 def test_solver_validates_eps_and_conditions():
-    system = TpBvpSystem(1, lambda t, y: np.array([y[0]]), ((0, 1.0),), ())
+    system = TpBvpSystem(1, SCALAR_GROWTH, ((0, 1.0),), ())
     with pytest.raises(ValueError):
         solve_linear_tpbvp(system, Mesh(0.0, 1.0, 10), eps=2.0)
     with pytest.raises(ValueError):
-        TpBvpSystem(2, lambda t, y: y, ((0, 0.0),), ())  # too few conditions
+        TpBvpSystem(2, IDENTITY_2, ((0, 0.0),), ())  # too few conditions
     with pytest.raises(ValueError):
-        TpBvpSystem(2, lambda t, y: y, ((0, 0.0), (0, 1.0)), ())  # duplicate index
+        TpBvpSystem(2, IDENTITY_2, ((0, 0.0), (0, 1.0)), ())  # duplicate index
+
+
+def test_system_requires_coefficients_and_derives_rhs():
+    with pytest.raises(TypeError):
+        TpBvpSystem(1, left_conditions=((0, 1.0),), right_conditions=(), rhs=lambda t, y: y)
+    system = TpBvpSystem(1, affine(lambda t: [[2.0 * t]], lambda t: [t]), ((0, 1.0),), ())
+    assert np.array_equal(system.rhs(0.5, np.array([3.0])), [3.5])
 
 
 def test_solver_returns_all_components_on_caller_mesh():
@@ -359,11 +372,7 @@ def dense_tpbvp_oracle(system, mesh, eps=0.0, grading=2.0):
     eye = np.eye(m)
     for j in range(n):
         tm, hj = 0.5 * (s[j] + s[j + 1]), s[j + 1] - s[j]
-        if system.coefficients is not None:
-            F, g = (c[0] for c in system.coefficients(np.array([tm])))
-        else:
-            g = np.asarray(system.rhs(tm, np.zeros(m)), dtype=float)
-            F = np.column_stack([system.rhs(tm, e) - g for e in eye])
+        F, g = (c[0] for c in system.coefficients(np.array([tm])))
         S = np.diag(tm**k)
         A = np.linalg.solve(S, F @ S) - np.diag(k / tm)
         rows = slice(j * m, (j + 1) * m)
@@ -426,11 +435,11 @@ def test_catalog_scale_powers():
         (assemble_tpbvp_example4(ALPHA, 4), Mesh(0.0, 1.0, 100), 1e-4),
         (assemble_tpbvp_example4(0.2, 8), Mesh(0.0, 1.0, 60), 1e-3),
         (assemble_tpbvp_example2(ALPHA, 3), Mesh(0.0, 1.0, 7), 1e-4),
-        (TpBvpSystem(1, lambda t, y: np.array([y[0]]), ((0, 1.0),), ()), Mesh(0.0, 1.0, 50), 0.0),
+        (TpBvpSystem(1, SCALAR_GROWTH, ((0, 1.0),), ()), Mesh(0.0, 1.0, 50), 0.0),
         (
             TpBvpSystem(
                 2,
-                lambda t, y: np.array([y[1] / t, -y[0] / t + t]),
+                affine(lambda t: [[0.0, 1.0 / t], [-1.0 / t, 0.0]], lambda t: [0.0, t]),
                 ((0, 0.0),),
                 ((1, 2.0),),
                 scale_powers=(1.0, -0.5),
@@ -511,33 +520,30 @@ def test_replacing_rhs_keeps_coefficients():
 
 def test_right_condition_on_scaled_component_divides_by_b_power():
     # y' = y/t, y(2) = 4 has the solution y = 2t; in z = y/t it is z = 2
-    system = TpBvpSystem(1, lambda t, y: np.array([y[0] / t]), (), ((0, 4.0),), scale_powers=(1.0,))
+    system = TpBvpSystem(
+        1, affine(lambda t: [[1.0 / t]], lambda t: [0.0]), (), ((0, 4.0),), scale_powers=(1.0,)
+    )
     mesh = Mesh(0.5, 2.0, 8)
     curve = solve_linear_tpbvp(system, mesh)[0]
     assert np.max(np.abs(curve.values - 2.0 * mesh.nodes())) <= 1e-12
 
 
 def test_scale_power_validation():
-    rhs = lambda t, y: np.asarray(y)  # noqa: E731
     with pytest.raises(ValueError):
-        TpBvpSystem(2, rhs, ((0, 0.0),), ((1, 0.0),), scale_powers=(1.0,))
+        TpBvpSystem(2, IDENTITY_2, ((0, 0.0),), ((1, 0.0),), scale_powers=(1.0,))
     with pytest.raises(ValueError):
-        TpBvpSystem(2, rhs, ((0, 1.0),), ((1, 0.0),), scale_powers=(1.0, 0.0))
-    TpBvpSystem(2, rhs, ((0, 1.0),), ((1, 0.0),), scale_powers=(0.0, 2.0))
-    scaled = TpBvpSystem(2, rhs, ((0, 0.0),), ((1, 0.0),), scale_powers=(1.0, 0.0))
+        TpBvpSystem(2, IDENTITY_2, ((0, 1.0),), ((1, 0.0),), scale_powers=(1.0, 0.0))
+    TpBvpSystem(2, IDENTITY_2, ((0, 1.0),), ((1, 0.0),), scale_powers=(0.0, 2.0))
+    scaled = TpBvpSystem(2, IDENTITY_2, ((0, 0.0),), ((1, 0.0),), scale_powers=(1.0, 0.0))
     with pytest.raises(ValueError):
         solve_linear_tpbvp(scaled, Mesh(0.0, 1.0, 10))
-    unscaled = TpBvpSystem(2, rhs, ((0, 0.0),), ((1, 0.0),), scale_powers=(0.0, 0.0))
+    unscaled = TpBvpSystem(2, IDENTITY_2, ((0, 0.0),), ((1, 0.0),), scale_powers=(0.0, 0.0))
     solve_linear_tpbvp(unscaled, Mesh(0.0, 1.0, 10))
 
 
 def test_coefficients_with_wrong_shape_rejected():
     system = TpBvpSystem(
-        1,
-        lambda t, y: np.asarray(y),
-        ((0, 1.0),),
-        (),
-        coefficients=lambda t: (np.ones((t.size, 1)), np.zeros(t.size)),
+        1, lambda t: (np.ones((t.size, 1)), np.zeros(t.size)), ((0, 1.0),), ()
     )
     with pytest.raises(ValueError):
         solve_linear_tpbvp(system, Mesh(0.0, 1.0, 10))
