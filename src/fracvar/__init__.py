@@ -18,6 +18,11 @@ Subpackages:
                  system assemblies that cross-check it are test oracles)
 * ``indirect``   expansion-based reductions, closed forms, linear TPBVP solver
 * ``cli``        the ``fracvar`` experiment harness (CSV output)
+
+scipy is imported inside the four functions that use it (FFT Toeplitz
+products, the Hadamard reference quadrature, the dense GL matrix and the
+banded TPBVP solve), not at module top: importing it costs more than most
+CLI runs, and most runs reach none of them.
 """
 
 from .specfun import (

@@ -29,6 +29,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import sys
 from typing import Optional
 
@@ -330,6 +331,10 @@ def cmd_direct(opts: _Options) -> tuple:
     ns = opts.get("n", default_ns)
     if not ns or any(n < 2 for n in ns):
         raise UsageError("direct needs a list of n values >= 2")
+    if linear:
+        _reject_unused(opts, f"example {example!r}", ["tol"])
+    if not 0.0 < tol < math.inf:
+        raise UsageError(f"--tol must lie in (0, inf), got {tol}")
 
     blocks = []
     failures = []

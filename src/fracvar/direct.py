@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .expansions import _eval_on
 from .operators import (
@@ -137,6 +136,8 @@ class _GlRows:
 
     def dense(self) -> np.ndarray:
         if self._dense is None:
+            from scipy.linalg import toeplitz
+
             self._dense = toeplitz(self.w, np.zeros(self.n + 1))[1:] / self.h_alpha
         return self._dense
 
@@ -275,8 +276,11 @@ def solve_direct(
     tolerance and iteration budget), falling back to the linear interpolant
     when that coarse solve fails.  Each iteration logs one DEBUG record on
     the ``fracvar.direct`` logger: n, the iteration, the residual norm, the
-    damping and the step kind.
+    damping and the step kind.  A ``newton_tol`` that is not finite and
+    positive raises :class:`ValueError`, whether or not ``linear`` reads it.
     """
+    if not 0.0 < newton_tol < math.inf:
+        raise ValueError(f"newton_tol must be finite and > 0, got {newton_tol!r}")
     system = stationarity(problem, n)
     mesh = Mesh(problem.a, problem.b, n)
     if linear:

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .specfun import gamma, stirling_function
 
@@ -410,6 +409,8 @@ def hadamard_reference(
     endpoint singularity.  Serves as the reference for functions whose
     Hadamard derivative has no closed form.
     """
+    from scipy.integrate import quad
+
     if a <= 0.0:
         raise ValueError(f"Hadamard derivative needs a > 0, got a={a}")
     if not t > a:

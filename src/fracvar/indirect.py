@@ -28,7 +28,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .direct import SingularSystemError
 from .expansions import DerivativeBundle, integer_coefficient, moment_coeffs
@@ -375,6 +374,8 @@ def solve_linear_tpbvp(
     step of iterative refinement would change the solution by more than
     REFINEMENT_RTOL relative (the correction is not applied).
     """
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+
     if eps < 0.0 or eps >= mesh.b - mesh.a:
         raise ValueError(f"eps must lie in [0, b-a), got {eps!r}")
     m = system.dimension

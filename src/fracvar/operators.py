@@ -13,7 +13,6 @@ provided as analytic oracles.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
 
 from .specfun import gamma, mittag_leffler
 
@@ -132,6 +131,8 @@ class _LowerToeplitz:
         size = len(y)
         if size < FFT_MIN_LEN:
             return np.convolve(self.c[:size], y)[:size]
+        from scipy import fft
+
         nfft = fft.next_fast_len(2 * size - 1, real=True)
         spectrum = self._spectra.get(nfft)
         if spectrum is None:

@@ -313,6 +313,15 @@ OUT_OF_RANGE = [
      "example 'ex2-integer' does not use --eps"),
     (["indirect", "--example", "ex2-moment", "--eps", "0.5"],
      "example 'ex2-moment' does not use --eps"),
+    # Newton's tolerance: only ex3 reads it, and it must be finite and positive
+    *((["direct", "--example", "ex3", "--n", "10", "--tol", tol],
+       f"--tol must lie in (0, inf), got {float(tol)}")
+      for tol in ("inf", "-1", "nan", "0")),
+    *((["direct", "--example", example, "--tol", tol], f"example {example!r} does not use --tol")
+      for example in ("ex1", "ex2")
+      for tol in ("5", "inf")),
+    (["direct", "--example", "ex3", "--n", "1", "--tol", "nan"],
+     "direct needs a list of n values >= 2"),
 ]
 
 
@@ -388,6 +397,17 @@ def test_config_value_the_method_ignores_is_not_read(tmp_path):
     assert run(["derivative", "--config", str(cfg), "--method", "gl", "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert len(rows) == 10
+
+
+def test_config_tol_is_range_checked_but_not_rejected_as_unused(tmp_path, capsys):
+    cfg = tmp_path / "direct.ini"
+    cfg.write_text("[direct]\ntol = inf\nn = 10\n")
+    out = tmp_path / "x.csv"
+    assert run(["direct", "--config", str(cfg), "--example", "ex3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "fracvar: --tol must lie in (0, inf), got inf\n"
+    assert not out.exists()
+    cfg.write_text("[direct]\ntol = 5\nn = 10\n")
+    assert run(["direct", "--config", str(cfg), "--example", "ex1", "--out", str(out)]) == 0
 
 
 def test_numerical_failure_exits_2(tmp_path, capsys):

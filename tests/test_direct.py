@@ -331,6 +331,15 @@ def test_newton_nonconvergence_raises():
         solve_direct(example3_problem(), 10, newton_tol=1e-30, max_iter=2)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("name", ["ex1", "ex3"])
+def test_newton_tol_not_finite_and_positive_raises(name, tol):
+    # an infinite tol accepted the linear interpolant as the solution, a
+    # non-positive or nan one ran out the iteration budget
+    with pytest.raises(ValueError, match="newton_tol must be finite and > 0"):
+        solve_direct(CATALOG[name][0], 10, newton_tol=tol, linear=(name == "ex1"))
+
+
 def test_newton_raises_when_halving_cannot_reduce_residual():
     # |1 + x^2| has its minimum 1 at x = 0, with a vanishing Jacobian: the
     # Newton step overshoots and no damping of it lowers the residual norm
