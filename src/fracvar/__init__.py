@@ -14,15 +14,17 @@ Subpackages:
                  the Diethelm scheme, exact reference derivatives, error norms
 * ``expansions`` integer-order and moment expansions with truncation bounds
                  (``expand_integer``, ``expand_moment``; flags ``right``, ``hadamard``)
-* ``direct``     Euler-like direct method and the catalog problems (the dedicated
-                 system assemblies that cross-check it are test oracles)
+* ``direct``     Euler-like direct method, its linear solve and damped Newton on
+                 one Newton matrix from the nodewise second partials of L, and
+                 the catalog problems (the dedicated system assemblies that
+                 cross-check it are test oracles)
 * ``indirect``   expansion-based reductions, closed forms, linear TPBVP solver
 * ``cli``        the ``fracvar`` experiment harness (CSV output)
 
-scipy is imported inside the four functions that use it (FFT Toeplitz
-products, the Hadamard reference quadrature, the dense GL matrix and the
-banded TPBVP solve), not at module top: importing it costs more than most
-CLI runs, and most runs reach none of them.
+scipy is imported inside the three functions that use it (FFT Toeplitz
+products, the Hadamard reference quadrature and the banded TPBVP solve), not
+at module top: importing it costs more than most CLI runs, and most runs
+reach none of them.
 """
 
 from .specfun import (

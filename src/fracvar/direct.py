@@ -5,11 +5,13 @@ on a uniform mesh: left-endpoint-free rectangular quadrature over the cells,
 backward differences for x', and the truncated Grunwald-Letnikov sum for the
 fractional derivative.  That turns J into a function Psi of the interior
 node values, and minimizers are sought as solutions of the stationarity
-system dPsi/dx_i = 0 (linear solve for quadratic Lagrangians, damped Newton
-otherwise).  D^alpha x and its transpose go through the GL kernel of
+system dPsi/dx_i = 0 (one linear solve for quadratic Lagrangians, damped
+Newton otherwise), both with the Newton matrix built from the nodewise second
+partials of L.  D^alpha x and its transpose go through the GL kernel of
 ``operators``.
 """
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -66,7 +68,7 @@ CONTINUATION_MIN_N = 8
 #: 12 per continuation level up to n = 4160.
 STRUCTURED_FLOOR = 0.1
 
-#: Relative forward-difference step of the Jacobian and of L_DD.
+#: Relative forward-difference step of the second partials of L in Newton.
 _FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
@@ -110,132 +112,161 @@ class StationaritySystem:
 
     ``residual`` maps the interior values (x_1..x_{n-1}) to the scaled
     gradient dPsi/dx_i / h; it vanishes exactly at discrete minimizers.
-    ``structured_step(x, r)`` returns the structured Newton step at x (see
-    solve_direct), or None where the Lagrangian's partials rule it out;
-    ``psi`` is the discretized functional, the step's second merit.
+    ``step(x, r)`` returns the Newton step at x, where the residual is r,
+    and its kind, "structured" or "dense" (see solve_direct); ``psi`` is the
+    discretized functional, the structured step's second merit.
     """
 
     n: int
     residual: Callable
-    structured_step: Optional[Callable] = None
+    step: Callable
     psi: Optional[Callable] = None
 
 
 class _GlRows:
     """Rows 1..n of the lower-triangular GL Toeplitz matrix G = h^(-alpha) T(w)
-    over the node vector, so that D^alpha x at nodes 1..n is G x.  Single
-    states are multiplied by the GL kernel; batches (the linear=True probe
-    and the dense Jacobian) by the dense G, built on first use."""
+    over the node vector, so that D^alpha x at nodes 1..n is G x, applied by
+    the GL kernel."""
 
     def __init__(self, alpha: float, mesh: Mesh):
-        self.n = mesh.n
         self.h_alpha = mesh.h**alpha
         self.w = gl_weights(alpha, mesh.n).w
         self.conv = _LowerToeplitz(self.w)
-        self._dense = None
-
-    def dense(self) -> np.ndarray:
-        if self._dense is None:
-            from scipy.linalg import toeplitz
-
-            self._dense = toeplitz(self.w, np.zeros(self.n + 1))[1:] / self.h_alpha
-        return self._dense
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """G x for node values x (..., n + 1): D^alpha at nodes 1..n."""
-        if x.ndim > 1:
-            return x @ self.dense().T
+        """G x for node values x (n + 1,): D^alpha at nodes 1..n."""
         return self.conv.matvec(x)[1:] / self.h_alpha
 
     def apply_t(self, y: np.ndarray) -> np.ndarray:
-        """G^T y at the interior nodes 1..n-1, for y (..., n) at nodes 1..n."""
-        if y.ndim > 1:
-            return (y @ self.dense())[..., 1 : self.n]
-        return self.conv.rmatvec(y)[: self.n - 1] / self.h_alpha
+        """G^T y at the interior nodes 1..n-1, for y (n,) at nodes 1..n."""
+        return self.conv.rmatvec(y)[:-1] / self.h_alpha
 
 
 def _assemble_state(problem: DirectProblem, mesh: Mesh, gl: _GlRows, interior):
-    """Nodes, values, xdot and D^alpha at nodes 1..n for interior values given
-    as one state (m,) or a batch (k, m) with one state per row."""
-    interior = np.asarray(interior, dtype=float)
-    x = np.empty(interior.shape[:-1] + (mesh.n + 1,))
-    x[..., 0] = problem.x_a
-    x[..., -1] = problem.x_b
-    x[..., 1:-1] = interior
-    xdot = np.diff(x, axis=-1) / mesh.h
-    return mesh.nodes()[1:], x[..., 1:], xdot, gl.apply(x)
+    """Nodes, values, xdot and D^alpha at nodes 1..n for the interior values."""
+    x = np.empty(mesh.n + 1)
+    x[0] = problem.x_a
+    x[-1] = problem.x_b
+    x[1:-1] = interior
+    return mesh.nodes()[1:], x[1:], np.diff(x) / mesh.h, gl.apply(x)
 
 
 def discretize(problem: DirectProblem, n: int) -> Callable:
     """Discretized functional Psi(x_1..x_{n-1}) =
-    h * sum_{i=1..n} L(t_i, x_i, (x_i - x_{i-1})/h, h^(-alpha) sum w_k x_{i-k});
-    a batch (k, m) of states gives k values."""
+    h * sum_{i=1..n} L(t_i, x_i, (x_i - x_{i-1})/h, h^(-alpha) sum w_k x_{i-k})."""
     return stationarity(problem, n).psi
 
 
 def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
-    """Stationarity residual (the gradient of Psi, scaled by 1/h):
+    """Stationarity residual (the gradient of Psi, scaled by 1/h), its
+    Newton step and Psi:
 
         r_i = dL/dx(t_i) + h^(-alpha) sum_{k=0..n-i} w_k dL/dD(t_{i+k})
               + (1/h) [dL/dxdot(t_i) - dL/dxdot(t_{i+1})]    (xdot terms
               present only when the Lagrangian uses xdot)
 
     i.e. (G^T dL/dD)_i + dL/dx_i + ..., each partial evaluated once on the
-    node arrays.  The residual maps one state (m,) to (m,), G x and G^T dL/dD
-    by convolution, and a batch (k, m) to (k, m), row by row, through the
-    dense G.  The system also carries the structured Newton step and Psi.
+    node arrays, G x and G^T dL/dD by convolution.  The Newton matrix is
+    J = sum_ab A_a^T diag(H_ab) A_b over the slots a, b of L that the unknowns
+    enter (x, D^alpha and, when L uses it, xdot): H_ab are the nodewise second
+    partials of L, and A maps the interior values to a slot at nodes 1..n
+    (the interior identity, G, or the backward difference / h).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     lag = problem.lagrangian
     mesh = Mesh(problem.a, problem.b, n)
     gl = _GlRows(problem.alpha, mesh)
+    m = n - 1
     inverse = _LowerToeplitz(_binomial_weights(-problem.alpha, n - 2))
     # L^-T u for u^T, row n of G on the interior nodes
     inv_t_u = inverse.rmatvec(gl.w[n - 1 : 0 : -1])
+    # x, D^alpha (, xdot): their slots in the (t, x, xdot, D) state, their partials
+    slots = (1, 3, 2) if lag.uses_xdot else (1, 3)
+    partials = (lag.dL_dx, lag.dL_ddalpha, lag.dL_dxdot)[: len(slots)]
 
     def psi(interior):
         state = _assemble_state(problem, mesh, gl, interior)
-        total = mesh.h * np.sum(_eval_on(lag.L, *state), axis=-1)
-        return float(total) if total.ndim == 0 else total
+        return float(mesh.h * np.sum(_eval_on(lag.L, *state)))
 
     def residual(interior) -> np.ndarray:
         state = _assemble_state(problem, mesh, gl, interior)
         r = gl.apply_t(_eval_on(lag.dL_ddalpha, *state))
-        r += _eval_on(lag.dL_dx, *state)[..., : n - 1]
+        r += _eval_on(lag.dL_dx, *state)[: n - 1]
         if lag.uses_xdot:
             p = _eval_on(lag.dL_dxdot, *state)
-            r += (p[..., :-1] - p[..., 1:]) / mesh.h
+            r += (p[:-1] - p[1:]) / mesh.h
         return r
 
-    def structured_step(interior, r):
-        """Solve (L^T Lam L + lam_n u u^T) s = -r, or None (see solve_direct).
+    def second_partials(interior, unit: bool) -> np.ndarray:
+        """H[a, b] (nodes 1..n), a and b over ``slots``: forward differences
+        with steps sqrt(eps) (1 + |v|), or 1 with ``unit`` (exact for affine
+        partials up to rounding).  Each partial is evaluated once, on the
+        base state stacked with one probe per slot."""
+        state = list(_assemble_state(problem, mesh, gl, interior))
+        steps = []
+        for row, slot in enumerate(slots, 1):
+            v = state[slot]
+            steps.append(np.ones_like(v) if unit else _FD_STEP * (1.0 + np.abs(v)))
+            state[slot] = np.array([v] * (len(slots) + 1))
+            state[slot][row] += steps[-1]
+        values = np.array([_eval_on(f, *state) for f in partials])
+        return (values[:, 1:] - values[:, :1]) / np.array(steps)
 
-        L (rows and columns 1..n-1 of G) has the exact inverse
-        h^alpha T(w(-alpha)), and row n (u^T) enters by Sherman-Morrison:
-        s = L^-1 Lam^-1 (a - c q) with a = -L^-T r, q = L^-T u and
-        c = lam_n q.(a / Lam) / (1 + lam_n q.(q / Lam))."""
-        if lag.uses_xdot:
-            return None
-        t, x, xdot, d = _assemble_state(problem, mesh, gl, interior)
-        d_step = _FD_STEP * (1.0 + np.abs(d))
-        x_probe = np.array([x, x + _FD_STEP * (1.0 + np.abs(x)), x])
-        d_probe = np.array([d, d, d + d_step])
-        l_x = _eval_on(lag.dL_dx, t, x_probe, xdot, d_probe)
-        l_d = _eval_on(lag.dL_ddalpha, t, x_probe, xdot, d_probe)
-        if not ((l_x[1:] == l_x[0]).all() and (l_d[1] == l_d[0]).all()):
-            return None  # coupled through x as well
-        l_dd = (l_d[2] - l_d[0]) / d_step
+    @functools.cache
+    def slot_map(slot: int) -> np.ndarray:
+        """A for a slot, dense (n, m); built once per system."""
+        if slot == 1:
+            return np.eye(n, m)
+        if slot == 2:
+            return (np.eye(n, m) - np.eye(n, m, -1)) / mesh.h
+        # G's columns 1..n-1, lower-triangular Toeplitz: row k is the
+        # reversed window k of (0, ..., 0, w_0, ..., w_{n-1}) / h^alpha
+        padded = np.concatenate((np.zeros(m - 1), gl.w[:n] / gl.h_alpha))
+        return np.lib.stride_tricks.sliding_window_view(padded, m)[:, ::-1].copy()
+
+    def step(interior, r, affine=False):
+        """(s, kind); ``affine`` takes the dense step with unit probe steps
+        and checks that it solved the system (see solve_direct)."""
+        H = second_partials(interior, unit=affine)
+        l_dd = H[1, 1]
         mean = l_dd.mean()
-        if not (mean > 0.0 and l_dd.min() >= 0.0):
-            return None
-        lam = np.maximum(l_dd, STRUCTURED_FLOOR * mean)
-        lam_int, lam_n = lam[:-1], lam[-1]
-        a = inverse.rmatvec(-r) * gl.h_alpha
-        c = lam_n * (inv_t_u @ (a / lam_int)) / (1.0 + lam_n * (inv_t_u @ (inv_t_u / lam_int)))
-        return inverse.matvec((a - c * inv_t_u) / lam_int) * gl.h_alpha
+        if (not (affine or lag.uses_xdot) and np.count_nonzero(H) == np.count_nonzero(l_dd)
+                and mean > 0.0 and l_dd.min() >= 0.0):
+            # (L^T Lam L + lam_n u u^T) s = -r, with L (rows and columns 1..n-1
+            # of G) inverted exactly by h^alpha T(w(-alpha)) and row n (u^T)
+            # entering by Sherman-Morrison: s = L^-1 Lam^-1 (a - c q) with
+            # a = -L^-T r, q = L^-T u, c = lam_n q.(a / Lam) / (1 + lam_n q.(q / Lam))
+            lam = np.maximum(l_dd, STRUCTURED_FLOOR * mean)
+            lam_int, lam_n = lam[:-1], lam[-1]
+            a = inverse.rmatvec(-r) * gl.h_alpha
+            c = lam_n * (inv_t_u @ (a / lam_int)) / (1.0 + lam_n * (inv_t_u @ (inv_t_u / lam_int)))
+            return inverse.matvec((a - c * inv_t_u) / lam_int) * gl.h_alpha, "structured"
+        # J = sum_a A_a^T C_a with C_a = sum_b diag(H_ab) A_b over the nonzero
+        # H_ab; A_a^T is a row slice for x and xdot, a product for G
+        jac = np.zeros((m, m))
+        for row, slot in zip(H, slots):
+            terms = [h[:, None] * slot_map(other) for h, other in zip(row, slots) if h.any()]
+            if terms:
+                c = sum(terms[1:], terms[0])
+                jac += (c[:m] if slot == 1 else (c[:-1] - c[1:]) / mesh.h if slot == 2
+                        else slot_map(3).T @ c)
+        try:
+            s = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"Newton matrix singular: {exc}") from exc
+        if affine:
+            x = interior + s
+            scale = np.linalg.norm(jac, np.inf) * np.max(np.abs(x)) + np.max(np.abs(r))
+            defect = np.max(np.abs(residual(x)))
+            if not defect <= AFFINE_RTOL * m * scale:
+                raise NonAffineSystemError(
+                    f"stationarity system is not affine: residual {defect:.3e} at the "
+                    f"solution of its linearization (scale {scale:.3e})"
+                )
+        return s, "dense"
 
-    return StationaritySystem(n, residual, structured_step, psi)
+    return StationaritySystem(n, residual, step, psi)
 
 
 def solve_direct(
@@ -247,26 +278,22 @@ def solve_direct(
 ) -> SampledCurve:
     """Solve the discrete stationarity system on an n-subinterval mesh.
 
-    ``linear=True`` performs a single dense solve (valid when the residual
-    is affine in the unknowns, i.e. quadratic Lagrangians) and raises
-    :class:`NonAffineSystemError` when the residual at the computed solution
-    shows that it is not.  Otherwise damped Newton runs until the residual's
-    largest entry falls below ``newton_tol``.  Its step is chosen at every
-    iterate from the Lagrangian's partials there:
+    ``linear=True`` takes one dense step (see ``stationarity``) from x = 0,
+    with unit probe steps, exact when the residual is affine in the unknowns
+    (quadratic Lagrangians), and raises :class:`NonAffineSystemError` when
+    the residual at its result exceeds AFFINE_RTOL * m * (|J| |x| + |r(0)|).
+    Otherwise damped Newton runs until the residual's largest entry falls
+    below ``newton_tol``, with probe steps sqrt(eps) (1 + |v|).  Its step is
+    chosen at every iterate from the second partials there:
 
-    * structured, when the stationarity conditions couple only through
-      D^alpha: ``uses_xdot`` is false, nodewise forward differences of
-      dL/dx in its x and D^alpha slots and of dL/dD^alpha in its x slot are
-      exactly zero, and L_DD, the forward difference of dL/dD^alpha in its
-      D^alpha slot, is >= 0 with a positive mean.  The Newton matrix is then
-      G^T diag(L_DD) G over the interior nodes; with L_DD floored at
-      STRUCTURED_FLOOR * mean(L_DD) it is solved exactly in O(n log n)
-      (see ``StationaritySystem.structured_step``).  Since the floored step
-      descends Psi but not always the residual norm, a damped trial is
-      accepted when it lowers either;
-    * dense otherwise: a forward-difference Jacobian (all m probes in one
-      batched residual call), a dense solve, and a trial accepted when it
-      lowers the residual norm.
+    * structured, when ``uses_xdot`` is false, every second partial but L_DD
+      is exactly zero, and L_DD is >= 0 with a positive mean.  J is then
+      G^T diag(L_DD) G; with L_DD floored at STRUCTURED_FLOOR * mean(L_DD)
+      it is solved exactly in O(n log n).  Since the floored step descends
+      Psi but not always the residual norm, a damped trial is accepted when
+      it lowers either;
+    * dense otherwise: J assembled with a dense G and solved densely, and a
+      trial accepted when it lowers the residual norm.
 
     The step is halved up to 30 times until a trial is accepted; a step
     that is never accepted raises :class:`NewtonConvergenceError`, as does
@@ -284,7 +311,8 @@ def solve_direct(
     system = stationarity(problem, n)
     mesh = Mesh(problem.a, problem.b, n)
     if linear:
-        interior = _solve_affine(system.residual, n - 1)
+        zero = np.zeros(n - 1)
+        interior = system.step(zero, system.residual(zero), affine=True)[0]
     else:
         guess = _initial_guess(problem, mesh, newton_tol, max_iter)
         interior = _newton(system, guess, newton_tol, max_iter)
@@ -312,28 +340,11 @@ def _initial_guess(
     )
 
 
-def _solve_affine(residual: Callable, m: int) -> np.ndarray:
-    rhs = residual(np.zeros(m))
-    jac = (residual(np.eye(m)) - rhs).T
-    try:
-        x = np.linalg.solve(jac, -rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"affine stationarity system singular: {exc}") from exc
-    scale = np.linalg.norm(jac, np.inf) * np.max(np.abs(x)) + np.max(np.abs(rhs))
-    defect = np.max(np.abs(residual(x)))
-    if not defect <= AFFINE_RTOL * m * scale:
-        raise NonAffineSystemError(
-            f"stationarity system is not affine: residual {defect:.3e} at the "
-            f"solution of its linearization (scale {scale:.3e})"
-        )
-    return x
-
-
 def _newton(
     system: StationaritySystem, guess: np.ndarray, tol: float, max_iter: int
 ) -> np.ndarray:
-    """Damped Newton on a StationaritySystem (steps as in solve_direct); a
-    system without ``structured_step`` always takes the dense step."""
+    """Damped Newton on a StationaritySystem, with the system's steps (see
+    solve_direct)."""
     residual = system.residual
     x = np.array(guess, dtype=float)
     r = residual(x)
@@ -342,14 +353,8 @@ def _newton(
         return x
     debug = LOG.isEnabledFor(logging.DEBUG)
     for iteration in range(1, max_iter + 1):
-        step = system.structured_step(x, r) if system.structured_step else None
-        structured = step is not None
-        if not structured:
-            jac = _numeric_jacobian(residual, x, r)
-            try:
-                step = np.linalg.solve(jac, -r)
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystemError(f"Newton Jacobian singular: {exc}") from exc
+        step, kind = system.step(x, r)
+        structured = kind == "structured"
         psi = None
         damping = 1.0
         for _ in range(30):
@@ -374,7 +379,7 @@ def _newton(
         if debug:
             LOG.debug(
                 "newton n=%d iteration=%d residual=%.3e damping=%g step=%s",
-                system.n, iteration, rnorm, damping, "structured" if structured else "dense",
+                system.n, iteration, rnorm, damping, kind,
             )
         if rnorm < tol:
             return x
@@ -382,13 +387,6 @@ def _newton(
         f"Newton did not reach tol={tol} within {max_iter} iterations "
         f"(residual norm {rnorm:.3e})"
     )
-
-
-def _numeric_jacobian(residual: Callable, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    """Forward differences with steps sqrt(eps) (1 + |x_j|), all m probes
-    x + step_j e_j evaluated as one batch (row j of the batch is probe j)."""
-    steps = _FD_STEP * (1.0 + np.abs(x))
-    return ((residual(x + np.diag(steps)) - r0) / steps[:, None]).T
 
 
 # ---------------------------------------------------------------------------

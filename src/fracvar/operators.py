@@ -51,7 +51,7 @@ class SampledCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)  # a copy: frozen below
         if values.shape != (self.mesh.n + 1,):
             raise ValueError(
                 f"expected {self.mesh.n + 1} values, got shape {values.shape}"

@@ -40,9 +40,12 @@ def gamma(z: float) -> float:
 
     Satisfies the recurrence Gamma(z+1) = z*Gamma(z) to better than 1e-12
     relative error.  Raises :class:`GammaPoleError` when ``z`` lies within
-    ``POLE_WINDOW`` of a nonpositive integer.
+    ``POLE_WINDOW`` of a nonpositive integer, and :class:`ValueError` for a
+    NaN or -inf ``z`` (Gamma(+inf) is +inf).
     """
-    if z <= 0.5:
+    if not z > 0.5:
+        if not z > -math.inf:
+            raise ValueError(f"gamma needs a number above -inf, got z={z!r}")
         nearest = round(z)
         if nearest <= 0 and abs(z - nearest) < POLE_WINDOW:
             raise GammaPoleError(f"gamma pole at z={z!r} (nonpositive integer)")
@@ -84,6 +87,8 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     ``ML_RTOL * |sum|``.  That happens only for negative z, where the
     alternating terms cancel: for alpha = 1 between z = -5 and z = -10.
     """
+    if not all(map(math.isfinite, (alpha, beta, z))):
+        raise ValueError(f"alpha, beta and z must be finite, got {alpha!r}, {beta!r}, {z!r}")
     if alpha <= 0 or beta <= 0:
         raise ValueError(f"alpha and beta must be positive, got {alpha!r}, {beta!r}")
     if z == 0.0:

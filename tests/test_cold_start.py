@@ -30,7 +30,7 @@ CASES = [
     (["table-b"], set(), {"fft", "integrate", "linalg"}),
     (["indirect", "--example", "ex4-moment", "--n", "40", "--N", "2"], {"linalg"},
      {"fft", "integrate"}),
-    (["direct", "--example", "ex1", "--n", "5"], {"linalg"}, {"fft", "integrate"}),
+    (["direct", "--example", "ex1", "--n", "5"], set(), {"fft", "integrate", "linalg"}),
     (["derivative", "--method", "gl", "--function", "t2", "--n", "400"], {"fft"},
      {"integrate", "linalg"}),
     (["bounds", "--method", "hadamard", "--function", "exp2t"], {"integrate"}, set()),

@@ -16,7 +16,6 @@ from fracvar.direct import (
     NonAffineSystemError,
     StationaritySystem,
     _newton,
-    _numeric_jacobian,
     discretize,
     euler_lagrange_residual,
     example1_problem,
@@ -185,6 +184,14 @@ def loop_jacobian(residual, x, r0):
     return jac
 
 
+def fd_system(n, residual):
+    """A StationaritySystem whose step is the forward-difference Newton step
+    of loop_jacobian, logged as "dense"."""
+    return StationaritySystem(
+        n, residual, lambda x, r: (-np.linalg.solve(loop_jacobian(residual, x, r), r), "dense")
+    )
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG))
 @pytest.mark.parametrize("n", [2, 3, 12, 40])
 def test_residual_matches_loop_oracle(name, n):
@@ -197,33 +204,6 @@ def test_residual_matches_loop_oracle(name, n):
         got = system.residual(u)
         assert got.shape == (n - 1,)
         assert np.max(np.abs(got - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
-
-
-@pytest.mark.parametrize("name", sorted(CATALOG))
-@pytest.mark.parametrize("n", [2, 3, 12, 40])
-def test_batched_residual_and_psi_match_rows(name, n):
-    problem, _ = CATALOG[name]
-    system = stationarity(problem, n)
-    psi = discretize(problem, n)
-    batch = np.random.default_rng(3 * n).uniform(-1.0, 2.0, (5, n - 1))
-    rows = np.array([system.residual(u) for u in batch])
-    got = system.residual(batch)
-    assert got.shape == batch.shape
-    assert np.max(np.abs(got - rows)) <= 1e-13 * np.max(np.abs(rows))
-    values = np.array([psi(u) for u in batch])
-    assert np.max(np.abs(psi(batch) - values)) <= 1e-13 * np.max(np.abs(values))
-
-
-@pytest.mark.parametrize("name", sorted(CATALOG))
-@pytest.mark.parametrize("n", [2, 3, 12, 40])
-def test_batched_jacobian_matches_columnwise(name, n):
-    problem, _ = CATALOG[name]
-    residual = stationarity(problem, n).residual
-    x = np.random.default_rng(7 * n).uniform(-1.0, 2.0, n - 1)
-    r0 = residual(x)
-    expect = loop_jacobian(residual, x, r0)
-    got = _numeric_jacobian(residual, x, r0)
-    assert np.max(np.abs(got - expect)) <= 1e-6 * np.max(np.abs(expect))
 
 
 def test_eval_on_falls_back_for_scalar_results():
@@ -350,7 +330,7 @@ def test_newton_raises_when_halving_cannot_reduce_residual():
         return 1.0 + x**2
 
     with pytest.raises(NewtonConvergenceError, match="30 halvings"):
-        _newton(StationaritySystem(2, residual), np.zeros(1), 1e-10, 50)
+        _newton(fd_system(2, residual), np.zeros(1), 1e-10, 50)
     # initial residual, one Jacobian column, 30 damped trials; no step taken
     assert len(calls) == 32
 
@@ -363,8 +343,7 @@ def test_continuation_converges_within_default_budget(n):
     curve = solve_direct(problem, n)
     interior = curve.values[1:-1]
     linear_guess = curve.mesh.nodes()[1:-1]  # x(0) = 0 and x(1) = 1
-    dense = StationaritySystem(n, stationarity(problem, n).residual)
-    reference = _newton(dense, linear_guess, 1e-10, 200)
+    reference = _newton(fd_system(n, stationarity(problem, n).residual), linear_guess, 1e-10, 200)
     assert np.max(np.abs(interior - reference)) <= 1e-8
     assert np.max(np.abs(example3_residual(interior, n))) <= 1e-8
 
@@ -415,7 +394,7 @@ def test_continuation_falls_back_to_linear_guess(monkeypatch):
 
 
 def dense_solve(problem, n, tol=1e-10, max_iter=50):
-    """Damped Newton with the forward-difference Jacobian only, from the
+    """Damped Newton with the forward-difference loop_jacobian only, from the
     interpolated dense solution on n // 2 (solve_direct's continuation)."""
     t = Mesh(problem.a, problem.b, n).nodes()
     if n >= 2 * CONTINUATION_MIN_N:
@@ -425,8 +404,7 @@ def dense_solve(problem, n, tol=1e-10, max_iter=50):
         guess = problem.x_a + (problem.x_b - problem.x_a) * (t[1:-1] - problem.a) / (
             problem.b - problem.a
         )
-    dense = StationaritySystem(n, stationarity(problem, n).residual)
-    interior = _newton(dense, guess, tol, max_iter)
+    interior = _newton(fd_system(n, stationarity(problem, n).residual), guess, tol, max_iter)
     return np.concatenate(([problem.x_a], interior, [problem.x_b]))
 
 
@@ -508,6 +486,30 @@ COUPLED = {
 }
 
 
+PROBLEMS = {name: problem for name, (problem, _) in CATALOG.items()} | {
+    name: DirectProblem(0.0, 1.0, 0.0, 1.0, 0.5, lag) for name, lag in COUPLED.items()
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+@pytest.mark.parametrize("n", [2, 3, 12, 40])
+def test_dense_step_matches_loop_jacobian(name, n):
+    problem = PROBLEMS[name]
+    # a Lagrangian that declares xdot always takes the dense step
+    lag = dataclasses.replace(problem.lagrangian, uses_xdot=True)
+    system = stationarity(dataclasses.replace(problem, lagrangian=lag), n)
+    x = np.random.default_rng(7 * n).uniform(-1.0, 2.0, n - 1)
+    r = system.residual(x)
+    step, kind = system.step(x, r)
+    jac = loop_jacobian(system.residual, x, r)
+    assert kind == "dense"
+    # a backward error: the Newton matrices agree to about 1e-8, but at
+    # ex3, n = 40 (condition 8e4) -solve(jac, r) itself lies 1e-4 from the
+    # exact Newton step, and the dense step 4e-7
+    defect = np.max(np.abs(jac @ step + r))
+    assert defect <= 1e-6 * np.linalg.norm(jac, np.inf) * np.max(np.abs(step))
+
+
 @pytest.mark.parametrize("name", sorted(COUPLED))
 def test_coupled_lagrangians_take_dense_step(name, caplog):
     problem = DirectProblem(0.0, 1.0, 0.0, 1.0, 0.5, COUPLED[name])
@@ -548,25 +550,59 @@ def test_newton_logs_nothing_above_debug(caplog, monkeypatch):
 
 
 def test_bare_residual_takes_dense_step(caplog):
+    # Newton logs the step kind that the system's step returns
     system = stationarity(example3_problem(), 12)
     guess = Mesh(0.0, 1.0, 12).nodes()[1:-1]
     with caplog.at_level(logging.DEBUG, logger="fracvar.direct"):
-        _newton(StationaritySystem(12, system.residual), guess, 1e-10, 50)
+        x = _newton(fd_system(12, system.residual), guess, 1e-10, 50)
     assert {step[4] for step in newton_steps(caplog)} == {"dense"}
+    assert np.max(np.abs(system.residual(x))) < 1e-10
 
 
 def test_stationarity_system_survives_replace():
     system = stationarity(example3_problem(), 12)
     replaced = dataclasses.replace(system, residual=system.residual)
     assert isinstance(replaced, StationaritySystem)
-    assert replaced.structured_step is system.structured_step
+    assert replaced.step is system.step
     assert replaced.psi is system.psi
+    with pytest.raises(TypeError):
+        StationaritySystem(12, system.residual)  # the step is required
 
 
 @pytest.mark.parametrize("n", [10, 20])
 def test_linear_solve_rejects_nonaffine_example3(n):
     with pytest.raises(NonAffineSystemError):
         solve_direct(example3_problem(), n, linear=True)
+
+
+def test_linear_solve_peak_memory():
+    # the probe of residual(eye(m)) peaked at 153 MB here; the Newton matrix
+    # needs G, C = diag(L_DD) G, J and the product G^T C, 21.5 MB each
+    tracemalloc.start()
+    try:
+        solve_direct(example1_problem(), 1640, linear=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+
+
+def test_linear_solve_calls_scalar_lagrangian_linearly():
+    # a scalar-only partial is evaluated once per node and probe: one call
+    # per column of the probed Jacobian made 160,403 calls at n = 400
+    problem, scalar = SCALAR_ONLY["ex1"]
+    calls = []
+
+    def dL_ddalpha(*args):
+        calls.append(1)
+        return scalar.dL_ddalpha(*args)
+
+    counting = dataclasses.replace(scalar, dL_ddalpha=dL_ddalpha)
+    n = 400
+    curve = solve_direct(dataclasses.replace(problem, lagrangian=counting), n, linear=True)
+    assert len(calls) <= 10 * n
+    expect = solve_direct(problem, n, linear=True).values
+    assert np.max(np.abs(curve.values - expect)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,16 @@ def test_sampled_curve_validation():
         SampledCurve(mesh, np.array([0.0, 1.0, np.nan, 2.0]))
 
 
+def test_sampled_curve_copies_the_callers_array():
+    # the curve froze the caller's own buffer, so this assignment raised
+    values = np.zeros(3)
+    curve = SampledCurve(Mesh(0.0, 1.0, 2), values)
+    values[0] = 1.0
+    assert curve.values[0] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        curve.values[0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # GL weights
 # ---------------------------------------------------------------------------

@@ -40,6 +40,17 @@ def test_gamma_near_pole_but_outside_window():
     assert math.isfinite(gamma(-2.0 + 1e-13))
 
 
+@pytest.mark.parametrize("z", [math.nan, -math.inf])
+def test_gamma_rejects_nan_and_minus_inf(z):
+    # nan was returned as is, and -inf raised a bare OverflowError from round
+    with pytest.raises(ValueError, match="above -inf"):
+        gamma(z)
+
+
+def test_gamma_at_plus_inf_is_its_limit():
+    assert gamma(math.inf) == math.inf
+
+
 def test_gen_binomial_values():
     assert gen_binomial(0.5, 0) == 1.0
     assert gen_binomial(0.5, 1) == 0.5
@@ -92,6 +103,16 @@ def test_mittag_leffler_validates_parameters():
         mittag_leffler(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         mittag_leffler(1.0, -0.5, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", range(3))
+def test_mittag_leffler_rejects_non_finite_arguments(slot, bad):
+    # these summed all ML_MAX_TERMS terms before reporting non-convergence
+    args = [0.5, 1.0, 0.5]
+    args[slot] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        mittag_leffler(*args)
 
 
 def _ml_reference(alpha, beta, z):
