@@ -9,9 +9,10 @@ indirect expansion-based reductions to classical boundary value problems.
 Subpackages:
 
 * ``specfun``    gamma, generalized binomials, Mittag-Leffler, Stirling function
-* ``operators``  meshes, sampled curves, GL finite differences (one
-                 lower-triangular Toeplitz kernel, right-sided by reflection),
-                 the Diethelm scheme, exact reference derivatives, error norms
+* ``operators``  meshes, sampled curves, the GL weights (a plain read-only
+                 array), GL finite differences (one lower-triangular Toeplitz
+                 kernel, right-sided by reflection), the Diethelm scheme,
+                 exact reference derivatives, error norms
 * ``expansions`` integer-order and moment expansions with truncation bounds
                  (``expand_integer``, ``expand_moment``; flags ``right``, ``hadamard``)
 * ``direct``     Euler-like direct method, its linear solve and damped Newton on
@@ -36,7 +37,6 @@ from .specfun import (
     stirling_function,
 )
 from .operators import (
-    GlWeights,
     Mesh,
     MeshMismatchError,
     SampledCurve,
@@ -83,7 +83,6 @@ from .direct import (
     stationarity,
 )
 from .indirect import (
-    ClosedFormCoeffs,
     IllConditionedSystemError,
     TpBvpSystem,
     analytic_solution_example2,

@@ -78,7 +78,8 @@ class LagrangianSpec:
 
     All evaluators take the full argument tuple; Lagrangians that do not
     depend on xdot simply ignore that slot and set ``uses_xdot=False`` so
-    the stationarity assembly skips the xdot chain terms.
+    the stationarity assembly skips the xdot chain terms (``solve_direct``
+    raises ValueError when dL_dxdot varies along its solution).
     """
 
     L: Callable
@@ -123,34 +124,6 @@ class StationaritySystem:
     psi: Optional[Callable] = None
 
 
-class _GlRows:
-    """Rows 1..n of the lower-triangular GL Toeplitz matrix G = h^(-alpha) T(w)
-    over the node vector, so that D^alpha x at nodes 1..n is G x, applied by
-    the GL kernel."""
-
-    def __init__(self, alpha: float, mesh: Mesh):
-        self.h_alpha = mesh.h**alpha
-        self.w = gl_weights(alpha, mesh.n).w
-        self.conv = _LowerToeplitz(self.w)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """G x for node values x (n + 1,): D^alpha at nodes 1..n."""
-        return self.conv.matvec(x)[1:] / self.h_alpha
-
-    def apply_t(self, y: np.ndarray) -> np.ndarray:
-        """G^T y at the interior nodes 1..n-1, for y (n,) at nodes 1..n."""
-        return self.conv.rmatvec(y)[:-1] / self.h_alpha
-
-
-def _assemble_state(problem: DirectProblem, mesh: Mesh, gl: _GlRows, interior):
-    """Nodes, values, xdot and D^alpha at nodes 1..n for the interior values."""
-    x = np.empty(mesh.n + 1)
-    x[0] = problem.x_a
-    x[-1] = problem.x_b
-    x[1:-1] = interior
-    return mesh.nodes()[1:], x[1:], np.diff(x) / mesh.h, gl.apply(x)
-
-
 def discretize(problem: DirectProblem, n: int) -> Callable:
     """Discretized functional Psi(x_1..x_{n-1}) =
     h * sum_{i=1..n} L(t_i, x_i, (x_i - x_{i-1})/h, h^(-alpha) sum w_k x_{i-k})."""
@@ -176,22 +149,33 @@ def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
         raise ValueError(f"need n >= 2, got {n}")
     lag = problem.lagrangian
     mesh = Mesh(problem.a, problem.b, n)
-    gl = _GlRows(problem.alpha, mesh)
+    t = mesh.nodes()[1:]
+    t.flags.writeable = False  # shared by every state of this system
+    h_alpha = mesh.h**problem.alpha
+    w = gl_weights(problem.alpha, n)
+    conv = _LowerToeplitz(w)
     m = n - 1
     inverse = _LowerToeplitz(_binomial_weights(-problem.alpha, n - 2))
     # L^-T u for u^T, row n of G on the interior nodes
-    inv_t_u = inverse.rmatvec(gl.w[n - 1 : 0 : -1])
+    inv_t_u = inverse.rmatvec(w[n - 1 : 0 : -1])
     # x, D^alpha (, xdot): their slots in the (t, x, xdot, D) state, their partials
     slots = (1, 3, 2) if lag.uses_xdot else (1, 3)
     partials = (lag.dL_dx, lag.dL_ddalpha, lag.dL_dxdot)[: len(slots)]
 
+    def state_at(interior) -> tuple:
+        """(t, x, xdot, D^alpha x) at nodes 1..n for the interior values."""
+        x = np.empty(n + 1)
+        x[0] = problem.x_a
+        x[-1] = problem.x_b
+        x[1:-1] = interior
+        return t, x[1:], np.diff(x) / mesh.h, conv.matvec(x)[1:] / h_alpha
+
     def psi(interior):
-        state = _assemble_state(problem, mesh, gl, interior)
-        return float(mesh.h * np.sum(_eval_on(lag.L, *state)))
+        return float(mesh.h * np.sum(_eval_on(lag.L, *state_at(interior))))
 
     def residual(interior) -> np.ndarray:
-        state = _assemble_state(problem, mesh, gl, interior)
-        r = gl.apply_t(_eval_on(lag.dL_ddalpha, *state))
+        state = state_at(interior)
+        r = conv.rmatvec(_eval_on(lag.dL_ddalpha, *state))[:-1] / h_alpha
         r += _eval_on(lag.dL_dx, *state)[: n - 1]
         if lag.uses_xdot:
             p = _eval_on(lag.dL_dxdot, *state)
@@ -203,7 +187,7 @@ def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
         with steps sqrt(eps) (1 + |v|), or 1 with ``unit`` (exact for affine
         partials up to rounding).  Each partial is evaluated once, on the
         base state stacked with one probe per slot."""
-        state = list(_assemble_state(problem, mesh, gl, interior))
+        state = list(state_at(interior))
         steps = []
         for row, slot in enumerate(slots, 1):
             v = state[slot]
@@ -222,7 +206,7 @@ def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
             return (np.eye(n, m) - np.eye(n, m, -1)) / mesh.h
         # G's columns 1..n-1, lower-triangular Toeplitz: row k is the
         # reversed window k of (0, ..., 0, w_0, ..., w_{n-1}) / h^alpha
-        padded = np.concatenate((np.zeros(m - 1), gl.w[:n] / gl.h_alpha))
+        padded = np.concatenate((np.zeros(m - 1), w[:n] / h_alpha))
         return np.lib.stride_tricks.sliding_window_view(padded, m)[:, ::-1].copy()
 
     def step(interior, r, affine=False):
@@ -239,9 +223,9 @@ def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
             # a = -L^-T r, q = L^-T u, c = lam_n q.(a / Lam) / (1 + lam_n q.(q / Lam))
             lam = np.maximum(l_dd, STRUCTURED_FLOOR * mean)
             lam_int, lam_n = lam[:-1], lam[-1]
-            a = inverse.rmatvec(-r) * gl.h_alpha
+            a = inverse.rmatvec(-r) * h_alpha
             c = lam_n * (inv_t_u @ (a / lam_int)) / (1.0 + lam_n * (inv_t_u @ (inv_t_u / lam_int)))
-            return inverse.matvec((a - c * inv_t_u) / lam_int) * gl.h_alpha, "structured"
+            return inverse.matvec((a - c * inv_t_u) / lam_int) * h_alpha, "structured"
         # J = sum_a A_a^T C_a with C_a = sum_b diag(H_ab) A_b over the nonzero
         # H_ab; A_a^T is a row slice for x and xdot, a product for G
         jac = np.zeros((m, m))
@@ -304,7 +288,9 @@ def solve_direct(
     when that coarse solve fails.  Each iteration logs one DEBUG record on
     the ``fracvar.direct`` logger: n, the iteration, the residual norm, the
     damping and the step kind.  A ``newton_tol`` that is not finite and
-    positive raises :class:`ValueError`, whether or not ``linear`` reads it.
+    positive raises :class:`ValueError`, whether or not ``linear`` reads it,
+    and so does a solution at which dL_dxdot, evaluated once there, varies
+    between nodes although ``uses_xdot`` is false.
     """
     if not 0.0 < newton_tol < math.inf:
         raise ValueError(f"newton_tol must be finite and > 0, got {newton_tol!r}")
@@ -320,7 +306,19 @@ def solve_direct(
     x[0] = problem.x_a
     x[-1] = problem.x_b
     x[1:-1] = interior
+    if not problem.lagrangian.uses_xdot:
+        _check_xdot_unused(problem, mesh, x)
     return SampledCurve(mesh, x)
+
+
+def _check_xdot_unused(problem: DirectProblem, mesh: Mesh, x: np.ndarray) -> None:
+    """Raise ValueError unless p = dL/dxdot at the solution x (nodes 0..n) is equal at
+    nodes 1..n, so that the dropped x' term (p_i - p_{i+1}) / h is exactly zero."""
+    d = _LowerToeplitz(_binomial_weights(problem.alpha, mesh.n)).matvec(x)[1:]
+    state = (mesh.nodes()[1:], x[1:], np.diff(x) / mesh.h, d / mesh.h**problem.alpha)
+    p = _eval_on(problem.lagrangian.dL_dxdot, *state)
+    if np.any(p[:-1] != p[1:]):
+        raise ValueError("dL_dxdot varies along the solution, but uses_xdot=False drops it")
 
 
 def _initial_guess(

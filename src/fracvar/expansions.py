@@ -23,7 +23,8 @@ Riemann-Liouville or Hadamard, is :func:`expand_moment` with the flags
 :func:`moment_values`, around the one formula :func:`moment_expansion`.
 
 Truncation-error bounds for both families (and the Hadamard analogue) are
-implemented as callable dominance envelopes.
+implemented as callable dominance envelopes; they raise ValueError for
+alpha outside (0, 1), where they can turn negative.
 
 Both expansion families are singular at the expansion terminal (t = a on the
 left, t = b on the right); evaluating there raises
@@ -72,14 +73,18 @@ class MomentCoeffs:
         return float(self.C[p - 2])
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
 def moment_coeffs(alpha: float, N: int) -> MomentCoeffs:
     """Coefficient triple (A, B, {C_p}) for the RL moment expansion.
 
     Gamma ratios are formed in log space so large N (Table-sized, N ~ 200)
     cannot overflow.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     g_alpha = gamma(alpha)
@@ -440,6 +445,7 @@ def bound_integer(M: float, alpha: float, N: int, t: float, a: float) -> float:
 
     with M = max over [a, t] of |x^(N+1)|.
     """
+    _check_alpha(alpha)
     return M * (t - a) ** (N + 1.0 - alpha) / (gamma(1.0 - alpha) * math.factorial(N + 1))
 
 
@@ -451,6 +457,7 @@ def bound_moment(L2: float, alpha: float, N: int, t: float, a: float) -> float:
 
     with L2 = max over [a, t] of |x''|.
     """
+    _check_alpha(alpha)
     s = 1.0 - alpha
     return L2 * math.exp(s * s + s) / (gamma(2.0 - alpha) * s * N**s) * (t - a) ** (2.0 - alpha)
 
@@ -463,6 +470,7 @@ def bound_hadamard(Lmax: float, alpha: float, N: int, t: float, a: float) -> flo
 
     with Lmax = max over [a, t] of |x'(tau) + tau x''(tau)|.
     """
+    _check_alpha(alpha)
     s = 1.0 - alpha
     return (
         Lmax

@@ -68,26 +68,8 @@ def exact_solution_example4(alpha: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosedFormCoeffs:
-    """Coefficients of the two Example 2 reductions.
-
-    Integer route: x(t) = M1 t^(2-alpha) + M2 t with M1 + M2 = 1.
-    Moment route:  x(t) = M t^(2-alpha) - sum_p Cp_terms[p-2] t^p
-                          + (1 - M + sum_p Cp_terms[p-2]) t,
-    with Cp_terms[p-2] = C(alpha, p) / (2 p (2-p-alpha)); both routes pin
-    x(0) = 0 and x(1) = 1 by construction.
-    """
-
-    alpha: float
-    N: int
-    M1: float
-    M2: float
-    M: float
-    Cp_terms: np.ndarray
-
-
 def _example2_m1(alpha: float, N: int) -> float:
+    """M1 of the Example 2 integer route x(t) = M1 t^(2-alpha) + (1 - M1) t."""
     total = sum(
         (-1.0) ** n * gamma(n + 1.0 - alpha) * integer_coefficient(alpha, n)
         for n in range(N + 1)
@@ -96,7 +78,8 @@ def _example2_m1(alpha: float, N: int) -> float:
 
 
 def _example2_moment_terms(alpha: float, N: int) -> tuple:
-    """M and the C_p terms of the Example 2 moment route (requires N >= 2)."""
+    """M and the terms C(alpha, p) / (2 p (2-p-alpha)), p = 2..N, of the
+    Example 2 moment route (requires N >= 2)."""
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
     coeffs = moment_coeffs(alpha, N)
@@ -111,13 +94,6 @@ def _example2_moment_terms(alpha: float, N: int) -> tuple:
         [coeffs.c(p) / (2.0 * p * (2.0 - p - alpha)) for p in range(2, N + 1)]
     )
     return m, cp_terms
-
-
-def closed_form_coeffs(alpha: float, N: int) -> ClosedFormCoeffs:
-    """All Example 2 closed-form coefficients at once (requires N >= 2)."""
-    m, cp_terms = _example2_moment_terms(alpha, N)
-    m1 = _example2_m1(alpha, N)
-    return ClosedFormCoeffs(alpha, N, m1, 1.0 - m1, m, cp_terms)
 
 
 def solve_example2_integer(alpha: float, N: int) -> Callable:

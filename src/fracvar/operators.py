@@ -10,6 +10,8 @@ the standard test functions (powers, exponentials, powers of log) are
 provided as analytic oracles.
 """
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,16 +25,16 @@ class MeshMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform grid on [a, b] with n subintervals; node t_i = a + i*h."""
+    """Uniform grid on finite [a, b] with integer n subintervals; node t_i = a + i*h."""
 
     a: float
     b: float
     n: int
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError(f"mesh requires a < b, got a={self.a}, b={self.b}")
-        if self.n < 1:
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
+            raise ValueError(f"mesh requires finite a < b, got a={self.a}, b={self.b}")
+        if operator.index(self.n) < 1:
             raise ValueError(f"mesh requires n >= 1, got n={self.n}")
 
     @property
@@ -68,30 +70,17 @@ class SampledCurve:
         return cls(mesh, np.array([f(t) for t in mesh.nodes().tolist()], dtype=float))
 
 
-@dataclass(frozen=True)
-class GlWeights:
-    """Grunwald-Letnikov weights w_k = (-1)^k binom(alpha, k), k = 0..K.
-
-    Built by the running product w_0 = 1, w_k = w_{k-1} * ((k - 1 - alpha) / k),
-    equivalent to the closed form; in particular w_1 = -alpha.
-    """
-
-    alpha: float
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
-
-
-def gl_weights(alpha: float, K: int) -> GlWeights:
-    """Weight table w_k = (-1)^k binom(alpha, k) for k = 0..K, alpha in (0,1)."""
+def gl_weights(alpha: float, K: int) -> np.ndarray:
+    """Grunwald-Letnikov weights w_k = (-1)^k binom(alpha, k), k = 0..K, for
+    alpha in (0, 1): a fresh read-only array, built by the running product
+    w_0 = 1, w_k = w_{k-1} (k - 1 - alpha) / k (so w_1 = -alpha)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if K < 0:
+    if operator.index(K) < 0:
         raise ValueError(f"K must be nonnegative, got {K}")
-    return GlWeights(alpha, _binomial_weights(alpha, K))
+    w = _binomial_weights(alpha, K)
+    w.flags.writeable = False
+    return w
 
 
 def _binomial_weights(order: float, K: int) -> np.ndarray:
@@ -146,13 +135,13 @@ class _LowerToeplitz:
 
 def gl_left_all(curve: SampledCurve, alpha: float) -> np.ndarray:
     """Left GL derivative at every node: h^(-alpha) * sum_{k=0..i} w_k x_{i-k}."""
-    kernel = _LowerToeplitz(gl_weights(alpha, curve.mesh.n).w)
+    kernel = _LowerToeplitz(gl_weights(alpha, curve.mesh.n))
     return kernel.matvec(curve.values) / curve.mesh.h**alpha
 
 
 def gl_right_all(curve: SampledCurve, alpha: float) -> np.ndarray:
     """Right GL derivative at every node: h^(-alpha) * sum_{k=0..n-i} w_k x_{i+k}."""
-    kernel = _LowerToeplitz(gl_weights(alpha, curve.mesh.n).w)
+    kernel = _LowerToeplitz(gl_weights(alpha, curve.mesh.n))
     return kernel.rmatvec(curve.values) / curve.mesh.h**alpha
 
 
@@ -166,7 +155,7 @@ def gl_shifted_left(curve: SampledCurve, alpha: float, i: int) -> float:
     n = curve.mesh.n
     if i + 1 > n:
         raise IndexError(f"shifted stencil needs node {i + 1}, mesh ends at {n}")
-    kernel = _LowerToeplitz(gl_weights(alpha, n - 1).w)
+    kernel = _LowerToeplitz(gl_weights(alpha, n - 1))
     return float(kernel.matvec(curve.values[1:])[i]) / curve.mesh.h**alpha
 
 

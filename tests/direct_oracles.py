@@ -50,7 +50,7 @@ def example2_system(n: int):
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     h = 1.0 / n
-    w = gl_weights(0.5, n).w  # w_k = (-1)^k binom(1/2, k)
+    w = gl_weights(0.5, n)  # w_k = (-1)^k binom(1/2, k)
     mat = np.zeros((n - 1, n - 1))
     np.fill_diagonal(mat, 2.0)
     idx = np.arange(n - 2)
@@ -76,7 +76,7 @@ def example3_residual(xvec: np.ndarray, n: int) -> np.ndarray:
     h = 1.0 / n
     x = np.concatenate(([0.0], xvec, [1.0]))
     t = np.arange(n + 1) * h
-    w = gl_weights(0.5, n).w
+    w = gl_weights(0.5, n)
     d = np.convolve(w, x)[: n + 1] / h**0.5
     cubes = (d - example3_phi(t)) ** 3
     return np.array(

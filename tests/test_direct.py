@@ -160,7 +160,7 @@ def loop_residual(problem, n, interior):
     t = problem.a + np.arange(n + 1) * h
     x = np.concatenate(([problem.x_a], interior, [problem.x_b]))
     xdot = np.concatenate(([0.0], np.diff(x) / h))
-    w = gl_weights(problem.alpha, n).w
+    w = gl_weights(problem.alpha, n)
     dalpha = np.convolve(w, x)[: n + 1] / h**problem.alpha
     args = [(t[i], x[i], xdot[i], dalpha[i]) for i in range(n + 1)]
     dLdD = np.array([lag.dL_ddalpha(*args[i]) for i in range(n + 1)])
@@ -437,7 +437,7 @@ def test_example1_newton_matches_linear_solve(alpha, n):
 @pytest.mark.parametrize("m", [1, 2, 17, 300])
 def test_inverse_gl_weights_invert_gl_toeplitz(alpha, m):
     h = 1.0 / (m + 1)
-    gl = toeplitz(gl_weights(alpha, m - 1).w, np.zeros(m)) / h**alpha
+    gl = toeplitz(gl_weights(alpha, m - 1), np.zeros(m)) / h**alpha
     inverse = toeplitz(_binomial_weights(-alpha, m - 1), np.zeros(m)) * h**alpha
     assert np.max(np.abs(inverse @ gl - np.eye(m))) <= 1e-13
 
@@ -520,6 +520,24 @@ def test_coupled_lagrangians_take_dense_step(name, caplog):
     assert steps and {step[4] for step in steps} == {"dense"}
     assert np.max(np.abs(stationarity(problem, n).residual(curve.values[1:-1]))) < 1e-10
     assert np.max(np.abs(curve.values - dense_solve(problem, n))) <= 1e-10
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_solve_direct_rejects_xdot_dependence_it_drops(linear):
+    # with uses_xdot=False the xdot Lagrangian used to return x(0.5) = 0.2495
+    # (0.4898 with uses_xdot=True), a point that does not even minimize Psi
+    lag = dataclasses.replace(COUPLED["xdot"], uses_xdot=False)
+    if linear:  # a quadratic variant, so the affine check passes
+        lag = dataclasses.replace(
+            lag,
+            L=lambda t, x, xd, d: (d - _target(t)) ** 2 + xd**2,
+            dL_ddalpha=lambda t, x, xd, d: 2.0 * (d - _target(t)),
+        )
+    problem = DirectProblem(0.0, 1.0, 0.0, 1.0, 0.5, lag)
+    with pytest.raises(ValueError, match="uses_xdot"):
+        solve_direct(problem, 40, linear=linear)
+    declared = DirectProblem(0.0, 1.0, 0.0, 1.0, 0.5, dataclasses.replace(lag, uses_xdot=True))
+    assert solve_direct(declared, 40, linear=linear).values[20] > 0.4
 
 
 def test_newton_logs_one_record_per_iteration(caplog):

@@ -604,6 +604,14 @@ def test_bound_moment_dominates_t4():
         assert err <= bound_moment(12.0 * t**2, 0.5, 10, t, 0.0) + 1e-8
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.5])
+@pytest.mark.parametrize("bound", [bound_integer, bound_moment, bound_hadamard])
+def test_bounds_reject_alpha_outside_unit_interval(bound, alpha):
+    # bound_moment(1.0, 1.5, 4, 1.0, 0.0) used to return -1.76
+    with pytest.raises(ValueError, match="alpha"):
+        bound(1.0, alpha, 4, 2.0, 1.0)
+
+
 def test_bound_hadamard_zero_cases():
     assert bound_hadamard(0.0, 0.5, 8, 2.0, 1.0) == 0.0
     small_t = bound_hadamard(1.0, 0.5, 8, 1.0 + 1e-12, 1.0)

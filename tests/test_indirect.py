@@ -9,10 +9,11 @@ from fracvar.indirect import (
     HigherOrderLagrangian,
     IllConditionedSystemError,
     TpBvpSystem,
+    _example2_m1,
+    _example2_moment_terms,
     analytic_solution_example2,
     assemble_tpbvp_example2,
     assemble_tpbvp_example4,
-    closed_form_coeffs,
     exact_solution_example4,
     higher_order_el_residual,
     solve_example2_integer,
@@ -97,12 +98,6 @@ def test_integer_route_boundary_structure():
         assert float(x(1.0)) == pytest.approx(1.0, rel=1e-13)  # M1 + M2 = 1
 
 
-def test_closed_form_coeffs_invariant():
-    cf = closed_form_coeffs(ALPHA, 4)
-    assert cf.M1 + cf.M2 == pytest.approx(1.0, rel=1e-14)
-    assert cf.Cp_terms.shape == (3,)
-
-
 def test_integer_route_does_not_converge():
     mesh = Mesh(0.0, 1.0, 1000)
     t = mesh.nodes()
@@ -139,19 +134,19 @@ def test_moment_closed_form_satisfies_hamiltonian_system():
     # with analytic derivatives of the closed form
     N = 3
     mc = moment_coeffs(ALPHA, N)
-    cf = closed_form_coeffs(ALPHA, N)
-    lin = 1.0 - cf.M + float(np.sum(cf.Cp_terms))
+    m, cp_terms = _example2_moment_terms(ALPHA, N)
+    lin = 1.0 - m + float(np.sum(cp_terms))
 
     def xdot(t):
-        out = cf.M * (2.0 - ALPHA) * t ** (1.0 - ALPHA) + lin
+        out = m * (2.0 - ALPHA) * t ** (1.0 - ALPHA) + lin
         for p in range(2, N + 1):
-            out -= cf.Cp_terms[p - 2] * p * t ** (p - 1)
+            out -= cp_terms[p - 2] * p * t ** (p - 1)
         return out
 
     def xddot(t):
-        out = cf.M * (2.0 - ALPHA) * (1.0 - ALPHA) * t**-ALPHA
+        out = m * (2.0 - ALPHA) * (1.0 - ALPHA) * t**-ALPHA
         for p in range(2, N + 1):
-            out -= cf.Cp_terms[p - 2] * p * (p - 1) * t ** (p - 2)
+            out -= cp_terms[p - 2] * p * (p - 1) * t ** (p - 2)
         return out
 
     def lam1(t):
@@ -573,8 +568,8 @@ def test_integer_route_solution_satisfies_reduced_problem():
     # the closed form solves the Euler-Lagrange equation of its own reduced
     # (integer-order) variational problem
     N = 3
-    cf = closed_form_coeffs(ALPHA, N)
-    m1, m2 = cf.M1, cf.M2
+    m1 = _example2_m1(ALPHA, N)
+    m2 = 1.0 - m1
 
     def deriv(k):
         def f(t):

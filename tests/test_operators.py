@@ -5,7 +5,6 @@ import pytest
 
 from fracvar.operators import (
     FFT_MIN_LEN,
-    GlWeights,
     Mesh,
     MeshMismatchError,
     SampledCurve,
@@ -34,19 +33,19 @@ def curve_of(f, a=0.0, b=1.0, n=100):
 
 def gl_left_reference(curve, alpha, i):
     """h^(-alpha) * sum_{k=0..i} w_k x_{i-k}."""
-    w = gl_weights(alpha, i).w
+    w = gl_weights(alpha, i)
     return float(np.dot(w, curve.values[i::-1])) / curve.mesh.h**alpha
 
 
 def gl_right_reference(curve, alpha, i):
     """h^(-alpha) * sum_{k=0..n-i} w_k x_{i+k}."""
-    w = gl_weights(alpha, curve.mesh.n - i).w
+    w = gl_weights(alpha, curve.mesh.n - i)
     return float(np.dot(w, curve.values[i:])) / curve.mesh.h**alpha
 
 
 def gl_shifted_left_reference(curve, alpha, i):
     """h^(-alpha) * sum_{k=0..i} w_k x_{i+1-k}."""
-    w = gl_weights(alpha, i).w
+    w = gl_weights(alpha, i)
     return float(np.dot(w, curve.values[i + 1 : 0 : -1])) / curve.mesh.h**alpha
 
 
@@ -63,6 +62,23 @@ def test_mesh_validation_and_nodes():
     mesh = Mesh(0.0, 1.0, 4)
     assert mesh.h == 0.25
     assert np.allclose(mesh.nodes(), [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)])
+def test_mesh_rejects_nonfinite_ends(a, b):
+    with pytest.raises(ValueError, match="finite"):
+        Mesh(a, b, 2)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "2"])
+def test_mesh_rejects_nonintegral_size(n):
+    # Mesh(0, 1, 2.5).nodes() used to run past b: [0, .4, .8, 1.2]
+    with pytest.raises(TypeError):
+        Mesh(0.0, 1.0, n)
+
+
+def test_mesh_accepts_numpy_integer_size():
+    assert Mesh(0.0, 1.0, np.int64(4)).nodes().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 def test_sampled_curve_validation():
@@ -89,17 +105,17 @@ def test_sampled_curve_copies_the_callers_array():
 
 
 def test_gl_weights_example():
-    w = gl_weights(0.5, 2).w
+    w = gl_weights(0.5, 2)
     assert np.allclose(w, [1.0, -0.5, -0.125], atol=1e-15)
 
 
 def test_gl_weights_zero_order():
-    assert gl_weights(0.3, 0).w.tolist() == [1.0]
+    assert gl_weights(0.3, 0).tolist() == [1.0]
 
 
 def test_gl_weights_match_closed_form():
     for alpha in (0.3, 0.5, 0.7):
-        w = gl_weights(alpha, 50).w
+        w = gl_weights(alpha, 50)
         assert w[1] == pytest.approx(-alpha, abs=1e-15)
         for k in range(51):
             closed = (-1.0) ** k * gen_binomial(alpha, k)
@@ -108,7 +124,7 @@ def test_gl_weights_match_closed_form():
 
 def test_gl_weight_partial_sums_decrease_to_zero():
     # sum_k (-1)^k binom(alpha, k) telescopes to 0; partial sums shrink
-    w = gl_weights(0.5, 10**4).w
+    w = gl_weights(0.5, 10**4)
     partial = np.cumsum(w)
     checkpoints = [partial[10], partial[100], partial[1000], partial[10**4]]
     assert all(p > 0 for p in checkpoints)
@@ -121,6 +137,8 @@ def test_gl_weights_validation():
         gl_weights(1.0, 5)
     with pytest.raises(ValueError):
         gl_weights(0.5, -1)
+    with pytest.raises(TypeError):  # used to return the 4 weights of K = 3
+        gl_weights(0.5, 2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +247,7 @@ def test_gl_kernel_matches_per_node_sums(n, alpha, name):
     mesh = Mesh(0.0, 1.0, n)
     c = SampledCurve(mesh, KERNEL_CASES[name](mesh.nodes()))
     # normwise: every sum is bounded by h^-alpha max|x| sum|w|
-    w_abs = np.sum(np.abs(gl_weights(alpha, n).w))
+    w_abs = np.sum(np.abs(gl_weights(alpha, n)))
     tol = 1e-13 * mesh.h**-alpha * np.max(np.abs(c.values)) * w_abs
     left = [gl_left_reference(c, alpha, i) for i in range(n + 1)]
     right = [gl_right_reference(c, alpha, i) for i in range(n + 1)]
@@ -532,6 +550,13 @@ def test_errors_symmetric_and_mesh_checked():
 
 def test_gl_weights_frozen_values_are_immutable():
     w = gl_weights(0.5, 5)
-    assert isinstance(w, GlWeights)
+    assert isinstance(w, np.ndarray)
     with pytest.raises(ValueError):
-        w.w[0] = 2.0
+        w[0] = 2.0
+
+
+def test_gl_weights_calls_return_distinct_arrays():
+    first, second = gl_weights(0.5, 5), gl_weights(0.5, 5)
+    assert first is not second and not np.shares_memory(first, second)
+    assert not first.flags.writeable and not second.flags.writeable
+    assert first.tolist() == second.tolist()
