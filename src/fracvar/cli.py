@@ -15,11 +15,15 @@ All values may come from an INI config file (one section per subcommand,
 subcommand returns its table as columns, one 1-D numpy array per CSV
 column, joined from one block per run of its sweep; the writer picks each
 column's format from its dtype: integers and booleans in full, floats with
-17 significant digits.  The four expansion routes of ``derivative`` and
-``bounds`` (integer, moment, Atanackovic, Hadamard) share one per-point
-sweep, ``_expansion_sweep``.  Output is a
-headed CSV with LF line endings, so identical configs produce
-byte-identical files.
+17 significant digits.  From ``_COLUMN_MIN_CELLS`` cells on, the writer
+formats a whole column at a time (``_csvtext``): exact int64 and
+double-double arithmetic gives each float's 17 digits, and every value that
+arithmetic cannot prove (zero, non-finite, outside (1e-280, 1e280), next to
+a power of ten, or within 1e-6 of a rounding tie) falls back to ``%``, so
+the bytes are those of ``%.17g`` either way.  The four expansion routes of
+``derivative`` and ``bounds`` (integer, moment, Atanackovic, Hadamard) share
+one per-point sweep, ``_expansion_sweep``.  Output is a headed CSV with LF
+line endings, so identical configs produce byte-identical files.
 
 Exit codes: 0 all runs completed, 1 usage error, 2 numerical failure (a
 JSON error list goes to stderr).
@@ -69,6 +73,10 @@ EXPANSION_METHODS = ("integer", "moment", "atanackovic", "hadamard-moment")
 MESH_METHODS = ("gl", "diethelm")
 #: Methods scored against the Hadamard derivative (derivative, bounds).
 _HADAMARD_METHODS = ("hadamard-moment", "hadamard")
+#: Tables with at least this many cells are formatted a column at a time
+#: (``_csvtext``), smaller ones cell by cell with ``%``: the two cost the same
+#: at about 500 cells of 5 or 7 columns (numpy 2.4, one x86-64 core).
+_COLUMN_MIN_CELLS = 512
 
 NUMERICAL_ERRORS = (
     NewtonConvergenceError,
@@ -99,12 +107,27 @@ def _write_csv(path: str, header, columns) -> None:
 
     Each column gets one format from its dtype: booleans as 1/0 and integers
     in full (``%d``), anything else as a float with 17 significant digits
-    (``%.17g``).  The rows are formatted from Python scalars and the body
-    goes out in one write."""
-    line = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in columns) + "\n"
+    (``%.17g``).  A table of at least ``_COLUMN_MIN_CELLS`` cells is
+    formatted a column at a time by ``_csvtext.csv_body``, which writes the
+    same bytes and falls back to ``%`` for each value it cannot prove
+    exactly; a smaller one row by row from Python scalars.  Columns of
+    different lengths, or a header that does not name each column, raise
+    ``ValueError``; no columns at all (every run failed) write the header
+    alone."""
+    if columns and len(header) != len(columns):
+        raise ValueError(f"header names {len(header)} columns, got {len(columns)}")
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.write("".join([line % row for row in zip(*(c.tolist() for c in columns))]))
+        if columns and len(columns) * len(columns[0]) >= _COLUMN_MIN_CELLS:
+            from . import _csvtext  # on first use: small tables never load it
+
+            fh.flush()
+            fh.buffer.write(_csvtext.csv_body(columns))  # ASCII
+        else:
+            line = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in columns) + "\n"
+            fh.write("".join([line % row for row in zip(*(c.tolist() for c in columns))]))
 
 
 def _concatenated(blocks) -> list:

@@ -422,17 +422,19 @@ def example2_problem(alpha: float = 0.5) -> DirectProblem:
     return DirectProblem(0.0, 1.0, 0.0, 1.0, alpha, lag)
 
 
+# the coefficients of example3_phi, each rounded as it was written inline
+_EX3_C45 = 16.0 * gamma(6.0) / gamma(5.5)
+_EX3_C25 = 20.0 * gamma(4.0) / gamma(3.5)
+_EX3_C05 = 5.0 / gamma(1.5)
+
+
 def example3_phi(t):
     """Fractional-derivative image of Example 3's minimizer 16t^5 - 20t^3 + 5t:
 
         phi(t) = 16 Gamma(6)/Gamma(5.5) t^4.5 - 20 Gamma(4)/Gamma(3.5) t^2.5
                  + 5/Gamma(1.5) t^0.5
     """
-    return (
-        16.0 * gamma(6.0) / gamma(5.5) * t**4.5
-        - 20.0 * gamma(4.0) / gamma(3.5) * t**2.5
-        + 5.0 / gamma(1.5) * t**0.5
-    )
+    return _EX3_C45 * t**4.5 - _EX3_C25 * t**2.5 + _EX3_C05 * t**0.5
 
 
 def example3_minimizer(t):

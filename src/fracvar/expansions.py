@@ -261,18 +261,22 @@ def moment_values(
 
 def _eval_on(f: Callable, *arrays: np.ndarray) -> np.ndarray:
     """Evaluate a scalar function of one or more arguments elementwise on
-    arrays broadcast to a common shape: one call on the whole arrays when
+    arrays broadcast to a common shape: one call on the arrays as given when
     ``f`` returns a result of exactly that shape, otherwise (it raised, or
-    returned a scalar or a differently shaped array) one call per element."""
+    returned a scalar or a differently shaped array) one call per element of
+    the broadcast arrays."""
     if len(arrays) > 1:  # the moment quadratures make thousands of 1-array calls
-        arrays = np.broadcast_arrays(*arrays)
-    shape = arrays[0].shape
+        shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    else:
+        shape = arrays[0].shape
     try:
         out = np.asarray(f(*arrays), dtype=float)
         if out.shape == shape:
             return out
     except (TypeError, ValueError):
         pass
+    if len(arrays) > 1:
+        arrays = np.broadcast_arrays(*arrays)
     flat = zip(*(a.ravel() for a in arrays))
     return np.array([float(f(*args)) for args in flat]).reshape(shape)
 

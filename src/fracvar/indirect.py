@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .direct import SingularSystemError
 from .expansions import DerivativeBundle, integer_coefficient, moment_coeffs
@@ -409,8 +409,12 @@ def solve_linear_tpbvp(
     kl, ku = max(0, -int(offsets.min())), max(0, int(offsets.max()))
     diag = kl + ku
     ab = np.zeros((2 * kl + ku + 1, m * (n + 1)), order="F")
-    cell_cols = m * np.arange(n)[:, None, None] + cell_c[None]
-    ab[diag + n_left + cell_i - cell_c, cell_cols] = blocks
+    # entry (i, c) of cell j sits at row diag + n_left + i - c, column
+    # m j + c: Fortran offset diag + n_left + i + c (R - 1) + j m R, affine
+    # in (j, i, c), so one strided view of the band takes all cells
+    R, item = ab.shape[0], ab.itemsize
+    as_strided(ab.T.reshape(-1)[diag + n_left:], shape=blocks.shape,
+               strides=(m * R * item, item, (R - 1) * item))[...] = blocks
     ab[diag + rows_l - left_idx, left_idx] = w0
     ab[diag + rows_l - m - left_idx, m + left_idx] = w1
     ab[diag + rows_r - cols_r, cols_r] = 1.0

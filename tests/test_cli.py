@@ -3,6 +3,9 @@ import dataclasses
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,12 +13,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fracvar import cli, expansions, indirect
+from fracvar import _csvtext, cli, expansions, indirect
 from fracvar._functions import CATALOG
 from fracvar.cli import main
 from fracvar.direct import example3_minimizer
 from fracvar.operators import Mesh, SampledCurve
 from fracvar.specfun import SeriesConvergenceError
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(args):
@@ -521,6 +527,8 @@ WRITER_CASES = {
     "failing-run": ["direct", "--example", "ex3", "--n", "10", "--tol", "1e-30"],
     "derivative-diethelm-large": ["derivative", "--function", "t4", "--method", "diethelm",
                                   "--n", "20000"],
+    "indirect-ex4-moment-large": ["indirect", "--example", "ex4-moment", "--n", "1200"],
+    "direct-ex3-large": ["direct", "--example", "ex3", "--n", "4160"],
 }
 
 
@@ -576,6 +584,105 @@ def test_csv_writer_property_matches_per_cell_reference(tmp_path, columns):
     cli._write_csv(tmp_path / "columns.csv", header, columns)
     write_csv_rowwise(tmp_path / "rows.csv", header, zip(*columns))
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def _rowwise_text(columns):
+    return "".join(",".join(fmt_cell(v) for v in row) + "\n" for row in zip(*columns))
+
+
+#: Tables drawn here have at least this many rows, so that even one column
+#: reaches the column kernel.
+_KERNEL_ROWS = cli._COLUMN_MIN_CELLS
+
+
+@st.composite
+def _kernel_column_sets(draw):
+    n = draw(st.integers(_KERNEL_ROWS, _KERNEL_ROWS + 40))
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=4))
+    return [draw(_COLUMN_KINDS[kind](n)) for kind in kinds]
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(columns=_kernel_column_sets())
+def test_csv_kernel_property_matches_per_cell_reference(tmp_path, columns):
+    # above the crossover: _write_csv formats through the column kernel
+    assert len(columns) * len(columns[0]) >= cli._COLUMN_MIN_CELLS
+    header = [f"c{i}" for i in range(len(columns))]
+    cli._write_csv(tmp_path / "columns.csv", header, columns)
+    write_csv_rowwise(tmp_path / "rows.csv", header, zip(*columns))
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_csv_kernel_matches_percent_on_random_bit_patterns():
+    bits = np.random.default_rng(20261019).integers(
+        np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=1_000_000, dtype=np.int64,
+        endpoint=True)
+    x = bits.view(np.float64)
+    # most of them are proven by the kernel, not sent back to %
+    assert np.mean(_csvtext._digits17(x, _csvtext._tables())[2]) > 0.85
+    assert _csvtext.csv_body([x]).decode() == "".join(["%.17g\n" % v for v in x.tolist()])
+
+
+def _powers_of_ten_and_neighbours():
+    p = np.array([float(f"1e{k}") for k in range(-250, 251)])
+    return np.concatenate([p, np.nextafter(p, np.inf), np.nextafter(p, -np.inf)])
+
+
+#: Values at each trap of the column kernel, each with its sign flipped too.
+KERNEL_EDGES = np.concatenate([
+    _powers_of_ten_and_neighbours(),  # log10 misjudges E next to 10^k (1e-248)
+    [1e-248, 1e16, 1e17, 99999999999999999.0, 9999999999999998.0, 1e-4, 1e-5, 1e15, 1e16 - 2],
+    # scaled products with a fraction above 1/2 at 5e16, where a - 1.0 == a in float
+    [5.0000000000000005e16, 0.50000000000000011, 5.0000000000000011e-5, 5.0000000000000008e-300],
+    [74043568487764.5625, 0.5, 1.5, 2.5],  # 17-digit ties, and short exact values
+    [5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308],  # subnormals
+    [1e-280, 1.0000000000000001e-280, 9.9999999999999997e279, 1e280],  # the fast range's ends
+    [1.7976931348623157e308, 0.0, np.nan, np.inf],
+    [0.1, 0.2, 1.0 / 3.0, 2.0 / 3.0, 123456789.0, 1234567890123456.7, 12345678901234567.0],
+    [0.00012345678901234567, 0.0012345678901234567, 0.012345678901234567, 0.99999999999999989],
+])
+
+
+def test_csv_kernel_edge_values():
+    x = np.concatenate([KERNEL_EDGES, -KERNEL_EDGES])
+    assert _csvtext.csv_body([x]).decode() == "".join(["%.17g\n" % v for v in x.tolist()])
+    # the exact tie and the values next to powers of ten are sent back to %
+    proven = _csvtext._digits17(np.array([74043568487764.5625, 1e-248]), _csvtext._tables())[2]
+    assert not proven.any()
+
+
+def test_csv_kernel_integer_and_bool_columns():
+    n = cli._COLUMN_MIN_CELLS
+    big = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 10**17, 0, -1, 7])
+    columns = [
+        np.resize(big, n),
+        np.resize(np.array([10**17, 2**63 + 5, 0], dtype=np.uint64), n),
+        np.arange(n) % 3 == 0,
+        np.resize(np.array([np.True_]), n),
+        np.resize(KERNEL_EDGES, n),
+    ]
+    assert _csvtext.csv_body(columns).decode() == _rowwise_text(columns)
+
+
+def test_csv_kernel_is_loaded_on_first_use():
+    code = ("import sys, fracvar.cli; assert 'fracvar._csvtext' not in sys.modules; "
+            "import fracvar._csvtext as t; assert t._tables.cache_info().currsize == 0")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_csv_writer_rejects_ragged_tables(tmp_path):
+    out = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="differ in length"):
+        cli._write_csv(out, ("a", "b"), [np.arange(3), np.arange(2.0)])
+    with pytest.raises(ValueError, match="header names 3 columns, got 2"):
+        cli._write_csv(out, ("a", "b", "c"), [np.arange(3), np.arange(3.0)])
+    with pytest.raises(ValueError, match="header names 1 columns, got 2"):
+        cli._write_csv(out, ("a",), [np.arange(3), np.arange(3.0)])
+    cli._write_csv(out, ("a", "b", "c"), [])  # every run failed: header alone
+    assert out.read_text() == "a,b,c\n"
 
 
 @pytest.mark.parametrize(

@@ -206,6 +206,20 @@ def test_residual_matches_loop_oracle(name, n):
         assert np.max(np.abs(got - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
 
 
+def test_eval_on_calls_on_the_arrays_as_given():
+    t = np.linspace(0.0, 1.0, 5)
+    x = np.arange(10.0).reshape(2, 5)
+    shapes = []
+
+    def f(t, x):
+        shapes.append((np.shape(t), np.shape(x)))
+        return t * x
+
+    # one call, unbroadcast, accepted at the broadcast shape
+    assert np.array_equal(_eval_on(f, t, x), t * x)
+    assert shapes == [((5,), (2, 5))]
+
+
 def test_eval_on_falls_back_for_scalar_results():
     t = np.linspace(0.0, 1.0, 5)
     x = np.arange(10.0).reshape(2, 5)
@@ -692,6 +706,17 @@ def test_example3_phi_is_derivative_of_minimizer():
             + 5.0 / gamma(1.5) * t**0.5
         )
         assert example3_phi(t) == pytest.approx(expect, rel=1e-14)
+
+
+def test_example3_phi_bits_match_the_inline_formula():
+    # hoisted coefficients: same operation order, so the same bits on arrays
+    t = np.linspace(0.0, 1.0, 4097)
+    inline = (
+        16.0 * gamma(6.0) / gamma(5.5) * t**4.5
+        - 20.0 * gamma(4.0) / gamma(3.5) * t**2.5
+        + 5.0 / gamma(1.5) * t**0.5
+    )
+    assert np.array_equal(example3_phi(t), inline)
 
 
 def test_example3_residual_formula_oracle():
