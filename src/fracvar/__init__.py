@@ -8,7 +8,7 @@ indirect expansion-based reductions to classical boundary value problems.
 
 Subpackages:
 
-* ``specfun``    gamma, generalized binomials, Mittag-Leffler, Stirling function
+* ``specfun``    gamma, Mittag-Leffler, Stirling function
 * ``operators``  meshes, sampled curves, the GL weights (a plain read-only
                  array), GL finite differences (one lower-triangular Toeplitz
                  kernel, right-sided by reflection), the Diethelm scheme,
@@ -17,8 +17,8 @@ Subpackages:
                  (``expand_integer``, ``expand_moment``; flags ``right``, ``hadamard``)
 * ``direct``     Euler-like direct method, its linear solve and damped Newton on
                  one Newton matrix from the nodewise second partials of L, and
-                 the catalog problems (the dedicated system assemblies that
-                 cross-check it are test oracles)
+                 the catalog problems (the dedicated system assemblies and the
+                 Euler-Lagrange residual that cross-check it are test oracles)
 * ``indirect``   expansion-based reductions, closed forms, linear TPBVP solver
 * ``cli``        the ``fracvar`` experiment harness (CSV output)
 
@@ -32,7 +32,6 @@ from .specfun import (
     GammaPoleError,
     SeriesConvergenceError,
     gamma,
-    gen_binomial,
     mittag_leffler,
     stirling_function,
 )
@@ -43,7 +42,6 @@ from .operators import (
     diethelm_caputo_all,
     gl_left_all,
     gl_right_all,
-    gl_shifted_left,
     gl_weights,
     hadamard_logpow_exact,
     l2_error,
@@ -59,7 +57,6 @@ from .expansions import (
     bound_hadamard,
     bound_integer,
     bound_moment,
-    expand_caputo_left,
     expand_integer,
     expand_moment,
     hadamard_expand_integer,
@@ -74,8 +71,6 @@ from .direct import (
     NonAffineSystemError,
     SingularSystemError,
     StationaritySystem,
-    discretize,
-    euler_lagrange_residual,
     example1_problem,
     example2_problem,
     example3_problem,
@@ -89,7 +84,6 @@ from .indirect import (
     assemble_tpbvp_example2,
     assemble_tpbvp_example4,
     exact_solution_example4,
-    higher_order_el_residual,
     solve_example2_integer,
     solve_example2_moment_closed,
     solve_linear_tpbvp,

@@ -59,7 +59,7 @@ from .operators import (
     l2_error,
     max_error,
 )
-from .specfun import SeriesConvergenceError
+from .specfun import GammaPoleError, SeriesConvergenceError
 
 #: Default grid of the B(alpha, N) reference table.
 TABLE_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
@@ -82,6 +82,7 @@ NUMERICAL_ERRORS = (
     NewtonConvergenceError,
     SingularSystemError,
     SeriesConvergenceError,
+    GammaPoleError,
     expansions.ExpansionDomainError,
     NonAffineSystemError,
     indirect.IllConditionedSystemError,
@@ -188,12 +189,15 @@ def cmd_table_b(opts: _Options) -> tuple:
         raise UsageError("all alpha values must lie in (0, 1)")
     if any(n < 1 for n in ns):
         raise UsageError("all N values must be >= 1")
-    columns = [
-        np.repeat(alphas, len(ns)),
-        np.tile(ns, len(alphas)),
-        expansions.b_table(alphas, ns).ravel(),
-    ]
-    return ("alpha", "N", "B"), columns, []
+    blocks, failures = [], []
+    for alpha in alphas:
+        try:
+            row = expansions.b_table([alpha], ns)[0]
+        except NUMERICAL_ERRORS as exc:
+            failures.append({"run": f"table-b:alpha={alpha}", "error": str(exc)})
+            continue
+        blocks.append((np.full(len(ns), alpha), np.array(ns), row))
+    return ("alpha", "N", "B"), _concatenated(blocks), failures
 
 
 def _eval_grid(a: float, b: float, points: int) -> np.ndarray:
@@ -208,8 +212,9 @@ def _expansion_sweep(func, method, exact, alpha, a, grid, Ns, quad_n):
     expansion formula on the moment prefix it uses.  Yields (N, t, approx,
     exact, error) in sweep order, with t, approx and exact arrays that stop
     before the first point that raised a numerical error, and that error
-    (or None).  An integer order beyond the function's derivative bundle is
-    a usage error.
+    (or None).  When the order-N part (its coefficients) raises, N yields
+    empty arrays and that error.  An integer order beyond the function's
+    derivative bundle is a usage error.
     """
     N_max = max(Ns)
     if method == "integer" and N_max > func.bundle.order:
@@ -233,12 +238,16 @@ def _expansion_sweep(func, method, exact, alpha, a, grid, Ns, quad_n):
     ts = grid[: len(shared)]
     exacts = np.array([ex for _, _, ex in shared], dtype=float)
     for N in Ns:
-        if method == "integer":
-            approx = [expansions.expand_integer(func.bundle, alpha, N, t, a) for t in ts]
-        else:
-            coeffs = expansions.moment_coeffs(alpha, N)
-            approx = [expansions.moment_expansion(coeffs, *point, moments)
-                      for point, moments, _ in shared]
+        try:
+            if method == "integer":
+                approx = [expansions.expand_integer(func.bundle, alpha, N, t, a) for t in ts]
+            else:
+                coeffs = expansions.moment_coeffs(alpha, N)
+                approx = [expansions.moment_expansion(coeffs, *point, moments)
+                          for point, moments, _ in shared]
+        except NUMERICAL_ERRORS as exc:
+            yield N, ts[:0], exacts[:0], exacts[:0], exc
+            continue
         yield N, ts, np.array(approx, dtype=float), exacts, error
 
 
@@ -470,11 +479,16 @@ def cmd_bounds(opts: _Options) -> tuple:
     }[method]
     blocks, failures = [], []
     for N, t, approx, ex, exc in _expansion_sweep(func, method, exact, alpha, a, grid, Ns, quad_n):
+        run = f"bounds:{method}:{fname}:N={N}"
+        try:
+            bounds = np.array([bound(N, ti) for ti in t], dtype=float)
+        except NUMERICAL_ERRORS as bound_exc:
+            failures.append({"run": run, "error": str(bound_exc)})
+            continue
         err = np.abs(approx - ex)
-        bounds = np.array([bound(N, ti) for ti in t], dtype=float)
         blocks.append((np.full(len(t), N), t, err, bounds, err <= bounds + DOMINANCE_SLACK))
         if exc is not None:
-            failures.append({"run": f"bounds:{method}:{fname}:N={N}", "error": str(exc)})
+            failures.append({"run": run, "error": str(exc)})
     header = ("N", "t", "abs_error", "bound", "dominated")
     return header, _concatenated(blocks), failures
 

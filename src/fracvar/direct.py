@@ -25,8 +25,6 @@ from .operators import (
     SampledCurve,
     _binomial_weights,
     _LowerToeplitz,
-    gl_left_all,
-    gl_right_all,
     gl_weights,
 )
 from .specfun import gamma
@@ -124,12 +122,6 @@ class StationaritySystem:
     psi: Optional[Callable] = None
 
 
-def discretize(problem: DirectProblem, n: int) -> Callable:
-    """Discretized functional Psi(x_1..x_{n-1}) =
-    h * sum_{i=1..n} L(t_i, x_i, (x_i - x_{i-1})/h, h^(-alpha) sum w_k x_{i-k})."""
-    return stationarity(problem, n).psi
-
-
 def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
     """Stationarity residual (the gradient of Psi, scaled by 1/h), its
     Newton step and Psi:
@@ -144,6 +136,11 @@ def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
     enter (x, D^alpha and, when L uses it, xdot): H_ab are the nodewise second
     partials of L, and A maps the interior values to a slot at nodes 1..n
     (the interior identity, G, or the backward difference / h).
+
+    ``stationarity(problem, n).psi`` is the discretized functional
+
+        Psi(x_1..x_{n-1}) = h sum_{i=1..n} L(t_i, x_i, (x_i - x_{i-1})/h,
+                                              h^(-alpha) sum_{k=0..i} w_k x_{i-k}).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -467,28 +464,3 @@ def example3_problem() -> DirectProblem:
         uses_xdot=False,
     )
     return DirectProblem(0.0, 1.0, 0.0, 1.0, 0.5, lag)
-
-
-def euler_lagrange_residual(curve: SampledCurve, problem: DirectProblem) -> SampledCurve:
-    """Node-wise fractional Euler-Lagrange residual of a curve:
-
-        dL/dx + D_b^alpha [dL/dD]  (- d/dt dL/dxdot when the Lagrangian
-        uses xdot),
-
-    with the left GL operator inside the partials, the right GL operator
-    applied to the sampled dL/dD curve, and central differences for the
-    outer d/dt (one-sided at the endpoints).
-    """
-    if curve.mesh.a != problem.a or curve.mesh.b != problem.b:
-        raise ValueError("curve interval does not match the problem interval")
-    lag = problem.lagrangian
-    t = curve.mesh.nodes()
-    h = curve.mesh.h
-    x = curve.values
-    xdot = np.gradient(x, h)
-    state = (t, x, xdot, gl_left_all(curve, problem.alpha))
-    dLdD = SampledCurve(curve.mesh, _eval_on(lag.dL_ddalpha, *state))
-    res = gl_right_all(dLdD, problem.alpha) + _eval_on(lag.dL_dx, *state)
-    if lag.uses_xdot:
-        res -= np.gradient(_eval_on(lag.dL_dxdot, *state), h)
-    return SampledCurve(curve.mesh, res)

@@ -352,29 +352,20 @@ def expand_moment(
     Gamma(1+alpha) equals Gamma(2-alpha) Gamma(alpha-1).  ``xdot=None`` drops
     the B term, for comparison only: B(alpha, N) decays too slowly in N to
     ignore, especially as alpha approaches 1.
+
+    The left Caputo derivative's expansion is the left RL one minus the
+    boundary term x(a) (t-a)^(-alpha) / Gamma(1-alpha):
+
+        expand_moment(x, xdot, coeffs, t, a, quad_n)
+            - x(a) / ((t - a)**coeffs.alpha * gamma(1 - coeffs.alpha))
+
+    Without the Gamma(1-alpha) factor, which comes from the absolutely
+    continuous decomposition of the RL derivative, the expansion of a
+    constant would not tend to zero.
     """
     s, x_t, xs_t = _moment_point(x, xdot, t, terminal, right, hadamard)
     moments = moment_values(x, coeffs.N, t, terminal, quad_n, right, hadamard)
     return moment_expansion(coeffs, s, x_t, xs_t, moments)
-
-
-def expand_caputo_left(
-    x: Callable,
-    xdot: Callable,
-    coeffs: MomentCoeffs,
-    t: float,
-    a: float,
-    quad_n: int,
-) -> float:
-    """Moment expansion of the left Caputo derivative: the RL expansion minus
-    the boundary term x(a) (t-a)^(-alpha) / Gamma(1-alpha).
-
-    The Gamma(1-alpha) factor comes from the absolutely-continuous
-    decomposition of the RL derivative; without it the expansion of a
-    constant would not tend to zero.
-    """
-    rl = expand_moment(x, xdot, coeffs, t, a, quad_n)
-    return rl - float(x(a)) / ((t - a) ** coeffs.alpha * gamma(1.0 - coeffs.alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +407,12 @@ def hadamard_reference(
 
     after the substitution v = (ln(t/tau))^(1-alpha), which removes the
     endpoint singularity.  Serves as the reference for functions whose
-    Hadamard derivative has no closed form.
+    Hadamard derivative has no closed form.  The representation holds for
+    alpha in (0, 1) only; any other alpha raises ValueError.
     """
     from scipy.integrate import quad
 
+    _check_alpha(alpha)
     if a <= 0.0:
         raise ValueError(f"Hadamard derivative needs a > 0, got a={a}")
     if not t > a:

@@ -4,9 +4,11 @@ Two reductions of the catalog variational problems are implemented:
 
 * the integer-order route, which replaces the fractional derivative by the
   truncated derivative series and solves the resulting (here: second-order)
-  Euler-Lagrange ODE in closed form.  This route is kept deliberately,
-  although it does NOT converge for Example 2 (the analytic solution is not
-  analytic at t = 1), as a documented negative result;
+  Euler-Lagrange ODE in closed form (``tests/indirect_oracles.py`` checks it
+  against the classical higher-order Euler-Lagrange residual).  This route
+  is kept deliberately, although it does NOT converge for Example 2 (the
+  analytic solution is not analytic at t = 1), as a documented negative
+  result;
 
 * the moment route, which rides the moments V_p along the state and applies
   the Hamiltonian necessary conditions, producing a linear two-point
@@ -22,7 +24,6 @@ t^(-k) y, without which the moment systems' t^(+-p) couplings make the
 matrix numerically singular from N = 6 on.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .direct import SingularSystemError
-from .expansions import DerivativeBundle, integer_coefficient, moment_coeffs
+from .expansions import integer_coefficient, moment_coeffs
 from .operators import Mesh, SampledCurve
 from .specfun import gamma
 
@@ -169,7 +170,11 @@ class TpBvpSystem:
     ``coefficients(t)`` maps a 1-D array of times to ``(F, g)`` of shapes
     (len(t), m, m) and (len(t), m); the system is affine by construction.
     ``rhs(t, y)`` is the same map at one time and one state, derived from
-    ``coefficients`` when not given; the solver never calls it.
+    ``coefficients`` when not given; the solver never calls it.  It stays
+    only because the benchmark tracer (``perfbench/tracing.py``,
+    ``_post_hooks``) wraps it with ``dataclasses.replace(system, rhs=...)``:
+    without the field the traced benchmark run fails, so it goes with the
+    next change to the benchmark.
 
     ``left_conditions`` / ``right_conditions`` are (component index, value)
     pairs imposed at t = a and t = b; together they must pin all ``dimension``
@@ -452,68 +457,3 @@ def solve_linear_tpbvp(
             vals[below] = col[0] + slope * (t_out[below] - a_eff)
         curves.append(SampledCurve(mesh, vals))
     return curves
-
-
-# ---------------------------------------------------------------------------
-# higher-order Euler-Lagrange residual
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HigherOrderLagrangian:
-    """Lagrangian L(t, x, x', ..., x^(N)) given by its N+1 partial derivatives.
-
-    ``partials[k](t, d)`` evaluates dL/dx^(k) at the derivative tuple
-    d = (x(t), x'(t), ..., x^(N)(t)).
-    """
-
-    order: int
-    partials: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "partials", tuple(self.partials))
-        if len(self.partials) != self.order + 1:
-            raise ValueError(
-                f"order {self.order} needs {self.order + 1} partials, got {len(self.partials)}"
-            )
-
-
-#: Step of the central differences in :func:`higher_order_el_residual`.
-_EL_FD_STEP = 1e-3
-
-
-def higher_order_el_residual(
-    bundle: DerivativeBundle,
-    lagrangian: HigherOrderLagrangian,
-) -> Callable:
-    """Residual evaluator of the classical higher-order Euler-Lagrange equation
-
-        dL/dx - d/dt(dL/dx') + d^2/dt^2(dL/dx'') - ...
-            + (-1)^N d^N/dt^N (dL/dx^(N)) = 0
-
-    for a curve supplied with analytic derivatives.  Inner partials are
-    evaluated analytically along the curve; the outer d^k/dt^k are central
-    binomial finite differences with step ``_EL_FD_STEP`` (O(step^2) accurate),
-    so the curve must be evaluable in a neighborhood of each query point.
-    """
-    N = lagrangian.order
-    if bundle.order < N:
-        raise ValueError(
-            f"curve bundle provides derivatives up to {bundle.order}, need {N}"
-        )
-
-    def along(k: int, t: float) -> float:
-        d = tuple(bundle.deriv(i, t) for i in range(N + 1))
-        return float(lagrangian.partials[k](t, d))
-
-    def residual(t: float) -> float:
-        total = along(0, t)
-        for k in range(1, N + 1):
-            dk = sum(
-                (-1.0) ** j * math.comb(k, j) * along(k, t + (k / 2.0 - j) * _EL_FD_STEP)
-                for j in range(k + 1)
-            ) / _EL_FD_STEP**k
-            total += (-1.0) ** k * dk
-        return total
-
-    return residual

@@ -134,7 +134,11 @@ class _LowerToeplitz:
 
 
 def gl_left_all(curve: SampledCurve, alpha: float) -> np.ndarray:
-    """Left GL derivative at every node: h^(-alpha) * sum_{k=0..i} w_k x_{i-k}."""
+    """Left GL derivative at every node: h^(-alpha) * sum_{k=0..i} w_k x_{i-k}.
+
+    The shifted sum h^(-alpha) * sum_{k=0..i} w_k x_{i+1-k}, i <= n - 1, is
+    entry i of this on the samples x_1..x_n, as a curve on Mesh(a + h, b,
+    n - 1), equal up to the rounding of h."""
     kernel = _LowerToeplitz(gl_weights(alpha, curve.mesh.n))
     return kernel.matvec(curve.values) / curve.mesh.h**alpha
 
@@ -143,20 +147,6 @@ def gl_right_all(curve: SampledCurve, alpha: float) -> np.ndarray:
     """Right GL derivative at every node: h^(-alpha) * sum_{k=0..n-i} w_k x_{i+k}."""
     kernel = _LowerToeplitz(gl_weights(alpha, curve.mesh.n))
     return kernel.rmatvec(curve.values) / curve.mesh.h**alpha
-
-
-def gl_shifted_left(curve: SampledCurve, alpha: float, i: int) -> float:
-    """Shifted left GL derivative: h^(-alpha) * sum_{k=0..i} w_k x(t_i - (k-1)h),
-    entry i of the left GL sum of the samples x_1..x_n.
-
-    The stencil references x at t_i + h, so i must not exceed n - 1.
-    """
-    _check_index(curve, i)
-    n = curve.mesh.n
-    if i + 1 > n:
-        raise IndexError(f"shifted stencil needs node {i + 1}, mesh ends at {n}")
-    kernel = _LowerToeplitz(gl_weights(alpha, n - 1))
-    return float(kernel.matvec(curve.values[1:])[i]) / curve.mesh.h**alpha
 
 
 def diethelm_caputo_all(
@@ -283,8 +273,3 @@ def max_error(x: SampledCurve, y: SampledCurve) -> float:
 def _check_same_mesh(x: SampledCurve, y: SampledCurve) -> None:
     if x.mesh != y.mesh:
         raise MeshMismatchError(f"mesh mismatch: {x.mesh} vs {y.mesh}")
-
-
-def _check_index(curve: SampledCurve, i: int) -> None:
-    if not 0 <= i <= curve.mesh.n:
-        raise IndexError(f"node index {i} outside 0..{curve.mesh.n}")

@@ -52,24 +52,6 @@ def gamma(z: float) -> float:
     return math.gamma(z)
 
 
-def gen_binomial(alpha: float, k: int) -> float:
-    """Generalized binomial coefficient binom(alpha, k) for real alpha.
-
-    Computed by the product form alpha*(alpha-1)*...*(alpha-k+1)/k!, which
-    stays finite at integer alpha where the gamma-quotient form
-    Gamma(alpha+1)/(Gamma(k+1)*Gamma(alpha-k+1)) hits poles.  The two forms
-    agree wherever the latter is defined.
-    """
-    if k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k}")
-    if alpha < 0 and abs(alpha - round(alpha)) < POLE_WINDOW:
-        raise ValueError(f"alpha must not be a negative integer, got {alpha!r}")
-    coeff = 1.0
-    for j in range(k):
-        coeff *= (alpha - j) / (j + 1)
-    return coeff
-
-
 def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 

@@ -1,15 +1,39 @@
-"""Dedicated assemblies of the catalog direct problems, as test oracles.
+"""Test oracles of the direct method, each independent of the code it checks.
 
-Each one writes its GL sums out by hand, independently of the package's GL
-kernel, so that the generic stationarity machinery of ``fracvar.direct`` can
-be cross-checked against them.
+* ``gen_binomial``: binom(alpha, k) in product form, the check of the GL
+  weights that ``fracvar.operators.gl_weights`` builds by a running product;
+* the dedicated assemblies of the catalog direct problems, which write their
+  GL sums out by hand, independently of the package's GL kernel, so that the
+  generic stationarity machinery of ``fracvar.direct`` can be cross-checked
+  against them;
+* ``euler_lagrange_residual``: the node-wise fractional Euler-Lagrange
+  residual of a curve, from the left and right GL operators.
 """
 
 import numpy as np
 
-from fracvar.direct import example3_phi
-from fracvar.operators import gl_weights
-from fracvar.specfun import gamma, gen_binomial
+from fracvar.direct import DirectProblem, example3_phi
+from fracvar.expansions import _eval_on
+from fracvar.operators import SampledCurve, gl_left_all, gl_right_all, gl_weights
+from fracvar.specfun import POLE_WINDOW, gamma
+
+
+def gen_binomial(alpha: float, k: int) -> float:
+    """Generalized binomial coefficient binom(alpha, k) for real alpha.
+
+    Computed by the product form alpha*(alpha-1)*...*(alpha-k+1)/k!, which
+    stays finite at integer alpha where the gamma-quotient form
+    Gamma(alpha+1)/(Gamma(k+1)*Gamma(alpha-k+1)) hits poles.  The two forms
+    agree wherever the latter is defined.
+    """
+    if k < 0:
+        raise ValueError(f"k must be a nonnegative integer, got {k}")
+    if alpha < 0 and abs(alpha - round(alpha)) < POLE_WINDOW:
+        raise ValueError(f"alpha must not be a negative integer, got {alpha!r}")
+    coeff = 1.0
+    for j in range(k):
+        coeff *= (alpha - j) / (j + 1)
+    return coeff
 
 
 def example1_system(n: int):
@@ -82,3 +106,28 @@ def example3_residual(xvec: np.ndarray, n: int) -> np.ndarray:
     return np.array(
         [float(np.dot(w[: n - j + 1], cubes[j:])) for j in range(1, n)]
     )
+
+
+def euler_lagrange_residual(curve: SampledCurve, problem: DirectProblem) -> SampledCurve:
+    """Node-wise fractional Euler-Lagrange residual of a curve:
+
+        dL/dx + D_b^alpha [dL/dD]  (- d/dt dL/dxdot when the Lagrangian
+        uses xdot),
+
+    with the left GL operator inside the partials, the right GL operator
+    applied to the sampled dL/dD curve, and central differences for the
+    outer d/dt (one-sided at the endpoints).
+    """
+    if curve.mesh.a != problem.a or curve.mesh.b != problem.b:
+        raise ValueError("curve interval does not match the problem interval")
+    lag = problem.lagrangian
+    t = curve.mesh.nodes()
+    h = curve.mesh.h
+    x = curve.values
+    xdot = np.gradient(x, h)
+    state = (t, x, xdot, gl_left_all(curve, problem.alpha))
+    dLdD = SampledCurve(curve.mesh, _eval_on(lag.dL_ddalpha, *state))
+    res = gl_right_all(dLdD, problem.alpha) + _eval_on(lag.dL_dx, *state)
+    if lag.uses_xdot:
+        res -= np.gradient(_eval_on(lag.dL_dxdot, *state), h)
+    return SampledCurve(curve.mesh, res)

@@ -12,7 +12,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from fracvar.direct import (
-    discretize,
     example1_problem,
     example2_problem,
     example3_minimizer,
@@ -50,9 +49,9 @@ from fracvar.operators import (
     rl_exp_exact,
     rl_power_exact,
 )
-from fracvar.specfun import gamma, gen_binomial, mittag_leffler, stirling_function
+from fracvar.specfun import gamma, mittag_leffler, stirling_function
 
-from direct_oracles import example1_system, example2_system, example3_residual
+from direct_oracles import example1_system, example2_system, example3_residual, gen_binomial
 
 #: max interior error of the n=40 Example 1 dense solve (example1_system
 #: oracle), recorded on the first verified run: 0.004950149730462816
@@ -391,8 +390,8 @@ def test_criterion_12_property_suites():
         # gradient consistency of the direct discretization
         for problem in (example1_problem(), example2_problem(), example3_problem()):
             for n in (10, 20):
-                psi = discretize(problem, n)
                 system = stationarity(problem, n)
+                psi = system.psi
                 h = 1.0 / n
                 for _ in range(5):
                     u = rng.uniform(-1.0, 2.0, n - 1)

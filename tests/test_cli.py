@@ -18,7 +18,7 @@ from fracvar._functions import CATALOG
 from fracvar.cli import main
 from fracvar.direct import example3_minimizer
 from fracvar.operators import Mesh, SampledCurve
-from fracvar.specfun import SeriesConvergenceError
+from fracvar.specfun import GammaPoleError, SeriesConvergenceError
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -778,3 +778,58 @@ def test_moment_route_failure_is_one_record_per_n(tmp_path, capsys, monkeypatch,
     assert [(int(r[0]), float(r[1])) for r in rows] == [
         (N, t) for N in (2, 4) for t in (0.1, 0.2, 0.30000000000000004)
     ]
+
+
+# every subcommand that takes --alpha, with each of its methods or examples
+ALPHA_EDGE_RUNS = [
+    ["table-b", "--N", "3"],
+    ["derivative", "--method", "gl", "--function", "t2", "--n", "20"],
+    ["derivative", "--method", "diethelm", "--function", "t2", "--n", "20"],
+    ["derivative", "--method", "integer", "--points", "5"],
+    ["derivative", "--method", "moment", "--points", "5", "--quad-n", "50"],
+    ["derivative", "--method", "atanackovic", "--points", "5", "--quad-n", "50"],
+    ["derivative", "--method", "hadamard-moment", "--function", "lnt", "--points", "5",
+     "--quad-n", "50"],
+    ["bounds", "--method", "integer", "--points", "5"],
+    ["bounds", "--method", "moment", "--points", "5", "--quad-n", "50"],
+    ["bounds", "--method", "hadamard", "--function", "lnt", "--points", "5", "--quad-n", "50"],
+    ["indirect", "--example", "ex2-integer", "--n", "20"],
+    ["indirect", "--example", "ex2-moment", "--n", "20"],
+    ["indirect", "--example", "ex4-moment", "--n", "20"],
+]
+
+
+@pytest.mark.parametrize("alpha", ["1e-15", repr(1.0 - 1e-15)])
+@pytest.mark.parametrize("argv", ALPHA_EDGE_RUNS, ids=" ".join)
+def test_alpha_next_to_a_gamma_pole_exits_0_or_2(tmp_path, capsys, argv, alpha):
+    # gamma raises GammaPoleError within 1e-14 of its poles, which Gamma(alpha),
+    # Gamma(alpha - 1) and Gamma(1 - alpha) reach here: a failure record, not
+    # a traceback
+    out = tmp_path / "edge.csv"
+    code = run([*argv, "--alpha", alpha, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    if code == 2:
+        failures = json.loads(err.strip().splitlines()[-1])
+        assert failures and all("gamma pole" in f["error"] for f in failures)
+    assert out.exists()
+
+
+def test_bound_that_raises_is_a_failure_record(tmp_path, capsys, monkeypatch):
+    # the bound column is computed after the sweep; its failure drops that N
+    bound_moment = expansions.bound_moment
+
+    def bound_or_pole(L2, alpha, N, t, a):
+        if N == 4:
+            raise GammaPoleError("pole in the bound")
+        return bound_moment(L2, alpha, N, t, a)
+
+    monkeypatch.setattr(expansions, "bound_moment", bound_or_pole)
+    out = tmp_path / "b.csv"
+    code = run(["bounds", "--method", "moment", "--N", "2", "4", "--points", "5",
+                "--quad-n", "50", "--out", str(out)])
+    assert code == 2
+    failures = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert failures == [{"run": "bounds:moment:t4:N=4", "error": "pole in the bound"}]
+    _, rows = read_csv(out)
+    assert {int(r[0]) for r in rows} == {2}

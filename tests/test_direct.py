@@ -16,8 +16,6 @@ from fracvar.direct import (
     NonAffineSystemError,
     StationaritySystem,
     _newton,
-    discretize,
-    euler_lagrange_residual,
     example1_problem,
     example2_problem,
     example3_minimizer,
@@ -29,9 +27,15 @@ from fracvar.direct import (
 from fracvar.expansions import _eval_on
 from fracvar.indirect import analytic_solution_example2
 from fracvar.operators import Mesh, SampledCurve, _binomial_weights, gl_weights, max_error
-from fracvar.specfun import gamma, gen_binomial
+from fracvar.specfun import gamma
 
-from direct_oracles import example1_system, example2_system, example3_residual
+from direct_oracles import (
+    euler_lagrange_residual,
+    example1_system,
+    example2_system,
+    example3_residual,
+    gen_binomial,
+)
 
 CATALOG = {
     "ex1": (example1_problem(), lambda t: t**2),
@@ -57,7 +61,7 @@ def test_psi_zero_for_zero_tracking_problem():
         dL_ddalpha=lambda t, x, xd, d: 2.0 * d,
     )
     problem = DirectProblem(0.0, 1.0, 0.0, 0.0, 0.5, lag)
-    psi = discretize(problem, 8)
+    psi = stationarity(problem, 8).psi
     assert psi(np.zeros(7)) == 0.0
 
 
@@ -65,7 +69,7 @@ def test_psi_vanishes_at_minimizer_with_refinement():
     problem = example1_problem()
     vals = []
     for n in (10, 40):
-        psi = discretize(problem, n)
+        psi = stationarity(problem, n).psi
         t = Mesh(0.0, 1.0, n).nodes()
         vals.append(psi(t[1:-1] ** 2))
     assert vals[1] < vals[0]
@@ -75,7 +79,7 @@ def test_single_unknown_quadratic_vertex():
     # n = 2 reduces Psi to a scalar quadratic; its vertex is recoverable from
     # three samples (independent parabola oracle)
     problem = example1_problem()
-    psi = discretize(problem, 2)
+    psi = stationarity(problem, 2).psi
     f = lambda v: psi(np.array([v]))
     y0, y1, y2 = f(0.0), f(1.0), f(2.0)
     # parabola a v^2 + b v + c through (0,1,2)
@@ -90,8 +94,8 @@ def test_single_unknown_quadratic_vertex():
 @pytest.mark.parametrize("n", [10, 20])
 def test_stationarity_matches_fd_gradient(name, n):
     problem, _ = CATALOG[name]
-    psi = discretize(problem, n)
     system = stationarity(problem, n)
+    psi = system.psi
     h = 1.0 / n
     rng = np.random.default_rng(42)
     for _ in range(5):

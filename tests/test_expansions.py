@@ -11,7 +11,6 @@ from fracvar.expansions import (
     bound_hadamard,
     bound_integer,
     bound_moment,
-    expand_caputo_left,
     expand_integer,
     expand_moment,
     hadamard_expand_integer,
@@ -407,24 +406,22 @@ def test_expand_moment_right_zero():
     assert expand_moment(lambda t: 0.0, lambda t: 0.0, coeffs, 0.2, 1.0, 100, right=True) == 0.0
 
 
-def test_expand_caputo_equals_rl_when_origin_vanishes():
-    x, xd = lambda t: t**2, lambda t: 2.0 * t
-    coeffs = moment_coeffs(0.5, 4)
-    rl = expand_moment(x, xd, coeffs, 0.8, 0.0, 2000)
-    cap = expand_caputo_left(x, xd, coeffs, 0.8, 0.0, 2000)
-    assert cap == pytest.approx(rl, rel=1e-13)
-
-
 def test_expand_caputo_constant_is_small():
     # Caputo of a constant is 0.  For constants the moment expansion is exact
     # at every N (A + sum C_p = 1/Gamma(1-alpha) identically), so the residue
     # is pure quadrature error: tiny, and shrinking as panels are added
     x, xd = lambda t: 2.0, lambda t: 0.0
+
+    def caputo(coeffs, quad_n, t=0.7):
+        # the left Caputo expansion: the RL one minus x(a) (t-a)^-alpha / Gamma(1-alpha)
+        rl = expand_moment(x, xd, coeffs, t, 0.0, quad_n)
+        return rl - x(0.0) / (t**coeffs.alpha * gamma(1.0 - coeffs.alpha))
+
     for N in (4, 16, 64):
-        res = abs(expand_caputo_left(x, xd, moment_coeffs(0.5, N), 0.7, 0.0, 2000))
+        res = abs(caputo(moment_coeffs(0.5, N), 2000))
         assert res < 1e-3
-    coarse = abs(expand_caputo_left(x, xd, moment_coeffs(0.5, 16), 0.7, 0.0, 500))
-    fine = abs(expand_caputo_left(x, xd, moment_coeffs(0.5, 16), 0.7, 0.0, 8000))
+    coarse = abs(caputo(moment_coeffs(0.5, 16), 500))
+    fine = abs(caputo(moment_coeffs(0.5, 16), 8000))
     assert fine < coarse
 
 
@@ -557,6 +554,23 @@ def test_hadamard_reference_matches_closed_forms():
     assert hadamard_reference(
         lambda s: s**4, lambda s: 4.0 * s**3, 0.5, 2.0, 1.0
     ) == pytest.approx(hadamard_t4_exact(0.5, 2.0), rel=1e-10)
+
+
+def test_hadamard_reference_of_t2_matches_mpmath():
+    # in s = ln t the Hadamard derivative of t^2 from a = 1 is the RL one of
+    # e^(2s) from 0: s^-alpha sum_k (2s)^k / Gamma(k + 1 - alpha)
+    s = mpmath.log(2)
+    expected = s**-0.5 * mpmath.nsum(lambda k: (2 * s) ** k / mpmath.gamma(k + 0.5), [0, mpmath.inf])
+    got = hadamard_reference(lambda t: t * t, lambda t: 2.0 * t, 0.5, 2.0, 1.0)
+    assert got == pytest.approx(float(expected), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+def test_hadamard_reference_rejects_alpha_outside_unit_interval(alpha):
+    # at 1.5 the representation returned -0.2184 where the derivative is 11.0953,
+    # and at 1 it divided by zero
+    with pytest.raises(ValueError):
+        hadamard_reference(lambda t: t * t, lambda t: 2.0 * t, alpha, 2.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

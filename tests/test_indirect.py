@@ -6,7 +6,6 @@ import pytest
 
 from fracvar.expansions import DerivativeBundle, integer_coefficient, moment_coeffs, moment_values
 from fracvar.indirect import (
-    HigherOrderLagrangian,
     IllConditionedSystemError,
     TpBvpSystem,
     _example2_m1,
@@ -15,13 +14,13 @@ from fracvar.indirect import (
     assemble_tpbvp_example2,
     assemble_tpbvp_example4,
     exact_solution_example4,
-    higher_order_el_residual,
     solve_example2_integer,
     solve_example2_moment_closed,
     solve_linear_tpbvp,
 )
 from fracvar.operators import Mesh, SampledCurve, gl_left_all, l2_error
 from fracvar.specfun import gamma
+from indirect_oracles import HigherOrderLagrangian, higher_order_el_residual
 
 ALPHA = 0.5
 

@@ -11,7 +11,6 @@ from fracvar.operators import (
     diethelm_caputo_all,
     gl_left_all,
     gl_right_all,
-    gl_shifted_left,
     gl_weights,
     hadamard_logpow_exact,
     l2_error,
@@ -19,7 +18,9 @@ from fracvar.operators import (
     rl_exp_exact,
     rl_power_exact,
 )
-from fracvar.specfun import GammaPoleError, gamma, gen_binomial
+from fracvar.specfun import GammaPoleError, gamma
+
+from direct_oracles import gen_binomial
 
 GAMMA_25 = 1.3293403881791370
 
@@ -41,12 +42,6 @@ def gl_right_reference(curve, alpha, i):
     """h^(-alpha) * sum_{k=0..n-i} w_k x_{i+k}."""
     w = gl_weights(alpha, curve.mesh.n - i)
     return float(np.dot(w, curve.values[i:])) / curve.mesh.h**alpha
-
-
-def gl_shifted_left_reference(curve, alpha, i):
-    """h^(-alpha) * sum_{k=0..i} w_k x_{i+1-k}."""
-    w = gl_weights(alpha, i)
-    return float(np.dot(w, curve.values[i + 1 : 0 : -1])) / curve.mesh.h**alpha
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +230,9 @@ KERNEL_CASES = {
 }
 
 
-# the sums take n + 1 node values (the shifted one n): the kernel convolves
-# directly below FFT_MIN_LEN = 384 values, so at n = 382 every sum does, at
-# n = 383 the left and right ones go through the FFT and the shifted one
-# does not, and from n = 384 on all of them do
+# the sums take n + 1 node values: the kernel convolves directly below
+# FFT_MIN_LEN = 384 values, so at n = 382 both sums do, and from n = 383 on
+# both go through the FFT
 @pytest.mark.parametrize("n", [382, 383, 384, 1000, 4000])
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.95])
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
@@ -253,34 +247,6 @@ def test_gl_kernel_matches_per_node_sums(n, alpha, name):
     right = [gl_right_reference(c, alpha, i) for i in range(n + 1)]
     assert np.max(np.abs(gl_left_all(c, alpha) - left)) <= tol
     assert np.max(np.abs(gl_right_all(c, alpha) - right)) <= tol
-    for i in [*range(0, n, n // 16), n - 1]:
-        shifted = gl_shifted_left_reference(c, alpha, i)
-        assert abs(gl_shifted_left(c, alpha, i) - shifted) <= tol
-
-
-def test_gl_shifted_left_zero_and_single_term():
-    c = curve_of(lambda t: 0.0, n=10)
-    assert gl_shifted_left(c, 0.5, 3) == 0.0
-    c = curve_of(lambda t: t, n=10)
-    # i=0 stencil reads x_1 only
-    assert gl_shifted_left(c, 0.5, 0) == pytest.approx(
-        c.values[1] * c.mesh.h**-0.5, rel=1e-14
-    )
-
-
-def test_gl_shifted_left_interior_accuracy():
-    n = 200
-    c = curve_of(lambda t: t * t, n=n)
-    t = c.mesh.nodes()
-    i = n // 2
-    exact = rl_power_exact(2.0, 0.5, t[i], 0.0)
-    assert abs(gl_shifted_left(c, 0.5, i) - exact) < 10.0 * c.mesh.h
-
-
-def test_gl_shifted_left_stencil_bounds():
-    c = curve_of(lambda t: t, n=10)
-    with pytest.raises(IndexError):
-        gl_shifted_left(c, 0.5, 10)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ from fracvar.specfun import (
     GammaPoleError,
     SeriesConvergenceError,
     gamma,
-    gen_binomial,
     mittag_leffler,
     stirling_function,
 )
+
+from direct_oracles import gen_binomial
 
 SQRT_PI = 1.7724538509055160273
 
