@@ -7,7 +7,9 @@ fractional derivative.  That turns J into a function Psi of the interior
 node values, and minimizers are sought as solutions of the stationarity
 system dPsi/dx_i = 0 (one linear solve for quadratic Lagrangians, damped
 Newton otherwise), both with the Newton matrix built from the nodewise second
-partials of L.  D^alpha x and its transpose go through the GL kernel of
+partials of L.  Newton is one run from the linear interpolant of the
+boundary values, with L_DD floored in its matrix whenever L_DD >= 0 (see
+solve_direct).  D^alpha x and its transpose go through the GL kernel of
 ``operators``.
 """
 
@@ -51,19 +53,14 @@ class NonAffineSystemError(ValueError):
 #: 0.02 * m * eps.
 AFFINE_RTOL = 1e3 * np.finfo(float).eps
 
-#: Damped Newton on n >= 2 * CONTINUATION_MIN_N subintervals starts from the
-#: interpolated solution on n // 2: on the degenerate (quartic) minimum of
-#: Example 3 the iteration count from the linear interpolant grows with n
-#: and passes the default budget of 50 from n = 164 on (dense step); from
-#: the coarse solution it stays at 10-25 up to n = 413 with the dense step
-#: and at most 12 up to n = 4160 with the structured one.
-CONTINUATION_MIN_N = 8
-
-#: The structured Newton step floors the diagonal L_DD of its matrix at
-#: STRUCTURED_FLOOR * mean(L_DD).  On the degenerate (quartic) minimum of
-#: Example 3, L_DD = 12 (D^alpha x - phi)^2 vanishes where the fit is exact;
-#: without the floor Newton needs 56 iterations at n = 1310, with it at most
-#: 12 per continuation level up to n = 4160.
+#: Outside ``linear=True`` both Newton steps floor the diagonal L_DD of their
+#: matrix at STRUCTURED_FLOOR * mean(L_DD) whenever L_DD >= 0 with a positive
+#: mean.  On the degenerate (quartic) minimum of Example 3 (alpha = 0.5),
+#: L_DD = 12 (D^alpha x - phi)^2 vanishes where the fit is exact.  From the
+#: linear interpolant the floored structured step takes 15 / 22 / 24 / 25
+#: iterations at n = 40 / 400 / 1640 / 4160, and the floored dense step
+#: 18 / 22 / 22 at n = 164 / 413 / 800; the unfloored dense step stops at
+#: n = 164 after 50 iterations with the residual at 1.2e-3.
 STRUCTURED_FLOOR = 0.1
 
 #: Relative forward-difference step of the second partials of L in Newton.
@@ -112,8 +109,9 @@ class StationaritySystem:
     ``residual`` maps the interior values (x_1..x_{n-1}) to the scaled
     gradient dPsi/dx_i / h; it vanishes exactly at discrete minimizers.
     ``step(x, r)`` returns the Newton step at x, where the residual is r,
-    and its kind, "structured" or "dense" (see solve_direct); ``psi`` is the
-    discretized functional, the structured step's second merit.
+    its kind, "structured" or "dense", and whether its matrix floors L_DD
+    (see solve_direct); ``psi`` is the discretized functional, the floored
+    step's second merit.
     """
 
     n: int
@@ -207,22 +205,24 @@ def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
         return np.lib.stride_tricks.sliding_window_view(padded, m)[:, ::-1].copy()
 
     def step(interior, r, affine=False):
-        """(s, kind); ``affine`` takes the dense step with unit probe steps
-        and checks that it solved the system (see solve_direct)."""
+        """(s, kind, floored); ``affine`` takes the dense step with unit probe
+        steps, no floor, and checks that it solved the system (see
+        solve_direct)."""
         H = second_partials(interior, unit=affine)
         l_dd = H[1, 1]
         mean = l_dd.mean()
-        if (not (affine or lag.uses_xdot) and np.count_nonzero(H) == np.count_nonzero(l_dd)
-                and mean > 0.0 and l_dd.min() >= 0.0):
+        floored = not affine and mean > 0.0 and l_dd.min() >= 0.0
+        if floored:
+            l_dd[:] = np.maximum(l_dd, STRUCTURED_FLOOR * mean)
+        if floored and not lag.uses_xdot and np.count_nonzero(H) == np.count_nonzero(l_dd):
             # (L^T Lam L + lam_n u u^T) s = -r, with L (rows and columns 1..n-1
             # of G) inverted exactly by h^alpha T(w(-alpha)) and row n (u^T)
             # entering by Sherman-Morrison: s = L^-1 Lam^-1 (a - c q) with
             # a = -L^-T r, q = L^-T u, c = lam_n q.(a / Lam) / (1 + lam_n q.(q / Lam))
-            lam = np.maximum(l_dd, STRUCTURED_FLOOR * mean)
-            lam_int, lam_n = lam[:-1], lam[-1]
+            lam_int, lam_n = l_dd[:-1], l_dd[-1]
             a = inverse.rmatvec(-r) * h_alpha
             c = lam_n * (inv_t_u @ (a / lam_int)) / (1.0 + lam_n * (inv_t_u @ (inv_t_u / lam_int)))
-            return inverse.matvec((a - c * inv_t_u) / lam_int) * h_alpha, "structured"
+            return inverse.matvec((a - c * inv_t_u) / lam_int) * h_alpha, "structured", True
         # J = sum_a A_a^T C_a with C_a = sum_b diag(H_ab) A_b over the nonzero
         # H_ab; A_a^T is a row slice for x and xdot, a product for G
         jac = np.zeros((m, m))
@@ -245,7 +245,7 @@ def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
                     f"stationarity system is not affine: residual {defect:.3e} at the "
                     f"solution of its linearization (scale {scale:.3e})"
                 )
-        return s, "dense"
+        return s, "dense", floored
 
     return StationaritySystem(n, residual, step, psi)
 
@@ -263,31 +263,29 @@ def solve_direct(
     with unit probe steps, exact when the residual is affine in the unknowns
     (quadratic Lagrangians), and raises :class:`NonAffineSystemError` when
     the residual at its result exceeds AFFINE_RTOL * m * (|J| |x| + |r(0)|).
-    Otherwise damped Newton runs until the residual's largest entry falls
-    below ``newton_tol``, with probe steps sqrt(eps) (1 + |v|).  Its step is
-    chosen at every iterate from the second partials there:
+    Otherwise damped Newton runs from the linear interpolant of the boundary
+    values until the residual's largest entry falls below ``newton_tol``,
+    with probe steps sqrt(eps) (1 + |v|).  Whenever L_DD is >= 0 with a
+    positive mean, its Newton matrix J floors L_DD at STRUCTURED_FLOOR *
+    mean(L_DD), and J is solved by one of two steps, chosen at every iterate
+    from the second partials there:
 
-    * structured, when ``uses_xdot`` is false, every second partial but L_DD
-      is exactly zero, and L_DD is >= 0 with a positive mean.  J is then
-      G^T diag(L_DD) G; with L_DD floored at STRUCTURED_FLOOR * mean(L_DD)
-      it is solved exactly in O(n log n).  Since the floored step descends
-      Psi but not always the residual norm, a damped trial is accepted when
-      it lowers either;
-    * dense otherwise: J assembled with a dense G and solved densely, and a
-      trial accepted when it lowers the residual norm.
+    * structured, when ``uses_xdot`` is false and L_DD is the only nonzero
+      second partial.  J is then G^T diag(L_DD) G, solved exactly in
+      O(n log n);
+    * dense otherwise: J assembled with a dense G and solved densely.
 
-    The step is halved up to 30 times until a trial is accepted; a step
-    that is never accepted raises :class:`NewtonConvergenceError`, as does
-    running out of ``max_iter`` iterations.  Newton starts from the linear
-    interpolant of the boundary values when n < 2 * CONTINUATION_MIN_N, and
-    otherwise from the interpolated solution on n // 2 subintervals (same
-    tolerance and iteration budget), falling back to the linear interpolant
-    when that coarse solve fails.  Each iteration logs one DEBUG record on
-    the ``fracvar.direct`` logger: n, the iteration, the residual norm, the
-    damping and the step kind.  A ``newton_tol`` that is not finite and
-    positive raises :class:`ValueError`, whether or not ``linear`` reads it,
-    and so does a solution at which dL_dxdot, evaluated once there, varies
-    between nodes although ``uses_xdot`` is false.
+    A damped trial of a floored step is accepted when it lowers the residual
+    norm or Psi (the floored step descends Psi but not always the residual
+    norm), a trial of an unfloored step when it lowers the residual norm.
+    The step is halved up to 30 times until a trial is accepted; a step that
+    is never accepted raises :class:`NewtonConvergenceError`, as does
+    running out of ``max_iter`` iterations.  Each iteration logs one DEBUG
+    record on the ``fracvar.direct`` logger: n, the iteration, the residual
+    norm, the damping and the step kind.  A ``newton_tol`` that is not
+    finite and positive raises :class:`ValueError`, whether or not
+    ``linear`` reads it, and so does a solution at which dL_dxdot, evaluated
+    once there, varies between nodes although ``uses_xdot`` is false.
     """
     if not 0.0 < newton_tol < math.inf:
         raise ValueError(f"newton_tol must be finite and > 0, got {newton_tol!r}")
@@ -297,8 +295,8 @@ def solve_direct(
         zero = np.zeros(n - 1)
         interior = system.step(zero, system.residual(zero), affine=True)[0]
     else:
-        guess = _initial_guess(problem, mesh, newton_tol, max_iter)
-        interior = _newton(system, guess, newton_tol, max_iter)
+        ends = (problem.a, problem.b), (problem.x_a, problem.x_b)
+        interior = _newton(system, np.interp(mesh.nodes()[1:-1], *ends), newton_tol, max_iter)
     x = np.empty(n + 1)
     x[0] = problem.x_a
     x[-1] = problem.x_b
@@ -318,23 +316,6 @@ def _check_xdot_unused(problem: DirectProblem, mesh: Mesh, x: np.ndarray) -> Non
         raise ValueError("dL_dxdot varies along the solution, but uses_xdot=False drops it")
 
 
-def _initial_guess(
-    problem: DirectProblem, mesh: Mesh, tol: float, max_iter: int
-) -> np.ndarray:
-    """Newton's starting point: the coarse-grid solution, interpolated, or
-    the linear interpolant of the boundary values (see solve_direct)."""
-    t = mesh.nodes()[1:-1]
-    if mesh.n >= 2 * CONTINUATION_MIN_N:
-        try:
-            coarse = solve_direct(problem, mesh.n // 2, tol, max_iter)
-            return np.interp(t, coarse.mesh.nodes(), coarse.values)
-        except (NewtonConvergenceError, SingularSystemError):
-            pass
-    return problem.x_a + (problem.x_b - problem.x_a) * (t - problem.a) / (
-        problem.b - problem.a
-    )
-
-
 def _newton(
     system: StationaritySystem, guess: np.ndarray, tol: float, max_iter: int
 ) -> np.ndarray:
@@ -348,8 +329,7 @@ def _newton(
         return x
     debug = LOG.isEnabledFor(logging.DEBUG)
     for iteration in range(1, max_iter + 1):
-        step, kind = system.step(x, r)
-        structured = kind == "structured"
+        step, kind, floored = system.step(x, r)
         psi = None
         damping = 1.0
         for _ in range(30):
@@ -358,14 +338,14 @@ def _newton(
             rnorm_new = np.max(np.abs(r_new))
             if rnorm_new < rnorm:
                 break
-            if structured:
+            if floored:
                 if psi is None:
                     psi = system.psi(x)
                 if system.psi(x_new) < psi:
                     break
             damping *= 0.5
         else:
-            merit = "the residual norm or Psi" if structured else "the residual norm"
+            merit = "the residual norm or Psi" if floored else "the residual norm"
             raise NewtonConvergenceError(
                 f"damped Newton step did not reduce {merit} "
                 f"(residual norm {rnorm:.3e}) after 30 halvings"

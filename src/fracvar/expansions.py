@@ -300,17 +300,31 @@ def moment_expansion(
     with N = ``coeffs.N`` and V_p = ``moments[p - 2]``.  Entries past N - 1
     are not used, so moments computed once at the largest N of a sweep serve
     every smaller N.  s > 0 and ``xs_t`` = dx/ds (None drops the B term)
-    are chosen by the flags of :func:`expand_moment`.
+    are chosen by the flags of :func:`expand_moment`.  Raises
+    :class:`ExpansionDomainError` when a term or the result is not a finite
+    float (s^(1-p-alpha) overflows for small s and large p).
     """
-    if len(moments) < coeffs.N - 1:
-        raise ValueError(f"order {coeffs.N} needs {coeffs.N - 1} moments, got {len(moments)}")
-    al = coeffs.alpha
-    out = coeffs.A * s ** (-al) * x_t
-    if xs_t is not None:
-        out += coeffs.B * s ** (1.0 - al) * xs_t
-    for p, (c, v) in enumerate(zip(coeffs.C, moments), start=2):
-        out -= c * s ** (1.0 - p - al) * v
-    return float(out)
+    n_moments = coeffs.N - 1
+    if len(moments) < n_moments:
+        raise ValueError(f"order {coeffs.N} needs {n_moments} moments, got {len(moments)}")
+    # Python floats throughout: their ** raises OverflowError and their
+    # products overflow to inf without a numpy RuntimeWarning
+    al, s = coeffs.alpha, float(s)
+    try:
+        out = coeffs.A * s ** (-al) * float(x_t)
+        if xs_t is not None:
+            out += coeffs.B * s ** (1.0 - al) * float(xs_t)
+        terms = zip(coeffs.C.tolist(), np.asarray(moments[:n_moments], dtype=float).tolist())
+        for p, (c, v) in enumerate(terms, start=2):
+            out -= c * s ** (1.0 - p - al) * v
+    except OverflowError:
+        out = math.inf
+    # a non-finite term leaves the sum non-finite
+    if not math.isfinite(out):
+        raise ExpansionDomainError(
+            f"moment expansion of order {coeffs.N} is not finite at s={s!r}"
+        )
+    return out
 
 
 def _moment_point(

@@ -426,6 +426,23 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     assert failures and "error" in failures[0] and "run" in failures[0]
 
 
+@pytest.mark.parametrize(
+    "method, function, N",
+    [("moment", "t2", "200"), ("atanackovic", "t4", "180"), ("hadamard-moment", "lnt", "300")],
+)
+def test_moment_expansion_overflow_is_a_failure_record(tmp_path, capsys, method, function, N):
+    # at the first points s^(1-p-alpha) overflows a float while V_p underflows
+    out = tmp_path / "d.csv"
+    code = run(["derivative", "--method", method, "--function", function, "--N", N,
+                "--out", str(out)])
+    assert code == 2
+    failures = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert [f["run"] for f in failures] == [f"{method}:{function}:N={N}"]
+    assert "not finite" in failures[0]["error"]
+    _, rows = read_csv(out)
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()

@@ -9,7 +9,7 @@ from scipy.linalg import toeplitz
 
 from fracvar import direct
 from fracvar.direct import (
-    CONTINUATION_MIN_N,
+    STRUCTURED_FLOOR,
     DirectProblem,
     LagrangianSpec,
     NewtonConvergenceError,
@@ -190,9 +190,11 @@ def loop_jacobian(residual, x, r0):
 
 def fd_system(n, residual):
     """A StationaritySystem whose step is the forward-difference Newton step
-    of loop_jacobian, logged as "dense"."""
+    of loop_jacobian, logged as "dense" and not floored."""
     return StationaritySystem(
-        n, residual, lambda x, r: (-np.linalg.solve(loop_jacobian(residual, x, r), r), "dense")
+        n,
+        residual,
+        lambda x, r: (-np.linalg.solve(loop_jacobian(residual, x, r), r), "dense", False),
     )
 
 
@@ -355,8 +357,8 @@ def test_newton_raises_when_halving_cannot_reduce_residual():
 
 @pytest.mark.parametrize("n", [164, 206, 260])
 def test_continuation_converges_within_default_budget(n):
-    # from the linear interpolant Newton needs more than the default 50
-    # iterations at these n; seeded from the n // 2 solution it does not
+    # from the linear interpolant the exact (unfloored) Newton step needs
+    # more than the default 50 iterations at these n; the floored one does not
     problem = example3_problem()
     curve = solve_direct(problem, n)
     interior = curve.values[1:-1]
@@ -366,46 +368,6 @@ def test_continuation_converges_within_default_budget(n):
     assert np.max(np.abs(example3_residual(interior, n))) <= 1e-8
 
 
-def _spy_solve_direct(monkeypatch, fail_below=0):
-    """Record the n of every solve_direct call, the nested ones included;
-    Newton solves on fewer than ``fail_below`` subintervals raise."""
-    calls = []
-    original = direct.solve_direct
-
-    def spy(problem, n, *args, **kwargs):
-        calls.append(n)
-        if n < fail_below:
-            raise NewtonConvergenceError("coarse solve refused")
-        return original(problem, n, *args, **kwargs)
-
-    monkeypatch.setattr(direct, "solve_direct", spy)
-    return spy, calls
-
-
-def test_continuation_threshold(monkeypatch):
-    spy, calls = _spy_solve_direct(monkeypatch)
-    spy(example3_problem(), 2 * CONTINUATION_MIN_N - 1)
-    assert calls == [2 * CONTINUATION_MIN_N - 1]
-    calls.clear()
-    spy(example3_problem(), 4 * CONTINUATION_MIN_N + 1)
-    assert calls == [4 * CONTINUATION_MIN_N + 1, 2 * CONTINUATION_MIN_N, CONTINUATION_MIN_N]
-    calls.clear()
-    spy(example1_problem(), 40, linear=True)
-    assert calls == [40]
-
-
-def test_continuation_falls_back_to_linear_guess(monkeypatch):
-    n = 2 * CONTINUATION_MIN_N + 4
-    spy, calls = _spy_solve_direct(monkeypatch, fail_below=n)
-    problem = example3_problem()
-    curve = spy(problem, n, max_iter=200)
-    assert calls == [n, n // 2]
-    linear_guess = curve.mesh.nodes()[1:-1]  # x(0) = 0 and x(1) = 1
-    # the whole system, so that the reference takes solve_direct's steps
-    reference = _newton(stationarity(problem, n), linear_guess, 1e-10, 200)
-    assert np.array_equal(curve.values[1:-1], reference)
-
-
 # ---------------------------------------------------------------------------
 # structured Newton step against the dense forward-difference Newton
 # ---------------------------------------------------------------------------
@@ -413,9 +375,10 @@ def test_continuation_falls_back_to_linear_guess(monkeypatch):
 
 def dense_solve(problem, n, tol=1e-10, max_iter=50):
     """Damped Newton with the forward-difference loop_jacobian only, from the
-    interpolated dense solution on n // 2 (solve_direct's continuation)."""
+    interpolated dense solution on n // 2 once n >= 16: without the floor, the
+    iteration count from the linear interpolant passes 50 from n = 164 on."""
     t = Mesh(problem.a, problem.b, n).nodes()
-    if n >= 2 * CONTINUATION_MIN_N:
+    if n >= 16:
         coarse = dense_solve(problem, n // 2, tol, max_iter)
         guess = np.interp(t[1:-1], Mesh(problem.a, problem.b, n // 2).nodes(), coarse)
     else:
@@ -509,6 +472,30 @@ PROBLEMS = {name: problem for name, (problem, _) in CATALOG.items()} | {
 }
 
 
+def floor_term(problem, n, interior):
+    """G^T diag(max(L_DD, f mean L_DD) - L_DD) G with f = STRUCTURED_FLOOR
+    (zero unless L_DD >= 0 with a positive mean): what the floor adds to the
+    Newton matrix.  L_DD by forward differences of dL_ddalpha, one node at a
+    time, G on the interior nodes by scipy's toeplitz."""
+    h = (problem.b - problem.a) / n
+    t = problem.a + np.arange(n + 1) * h
+    x = np.concatenate(([problem.x_a], interior, [problem.x_b]))
+    xdot = np.concatenate(([0.0], np.diff(x) / h))
+    g = toeplitz(gl_weights(problem.alpha, n), np.zeros(n + 1)) / h**problem.alpha
+    d = g @ x
+    l_dd = np.empty(n)
+    for i in range(1, n + 1):
+        step = math.sqrt(np.finfo(float).eps) * (1.0 + abs(d[i]))
+        args = (t[i], x[i], xdot[i])
+        partial = problem.lagrangian.dL_ddalpha
+        l_dd[i - 1] = (partial(*args, d[i] + step) - partial(*args, d[i])) / step
+    mean = l_dd.mean()
+    if not (mean > 0.0 and l_dd.min() >= 0.0):
+        return 0.0
+    g = g[1:, 1:-1]
+    return g.T @ ((np.maximum(l_dd, STRUCTURED_FLOOR * mean) - l_dd)[:, None] * g)
+
+
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 @pytest.mark.parametrize("n", [2, 3, 12, 40])
 def test_dense_step_matches_loop_jacobian(name, n):
@@ -518,9 +505,10 @@ def test_dense_step_matches_loop_jacobian(name, n):
     system = stationarity(dataclasses.replace(problem, lagrangian=lag), n)
     x = np.random.default_rng(7 * n).uniform(-1.0, 2.0, n - 1)
     r = system.residual(x)
-    step, kind = system.step(x, r)
-    jac = loop_jacobian(system.residual, x, r)
+    step, kind, floored = system.step(x, r)
+    jac = loop_jacobian(system.residual, x, r) + floor_term(problem, n, x)
     assert kind == "dense"
+    assert floored == (name in ("ex1", "ex3", "x", "xdot"))
     # a backward error: the Newton matrices agree to about 1e-8, but at
     # ex3, n = 40 (condition 8e4) -solve(jac, r) itself lies 1e-4 from the
     # exact Newton step, and the dense step 4e-7
@@ -538,6 +526,39 @@ def test_coupled_lagrangians_take_dense_step(name, caplog):
     assert steps and {step[4] for step in steps} == {"dense"}
     assert np.max(np.abs(stationarity(problem, n).residual(curve.values[1:-1]))) < 1e-10
     assert np.max(np.abs(curve.values - dense_solve(problem, n))) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["ex3", "xdot"])
+def test_solve_direct_is_one_newton_run_from_linear_interpolant(name, monkeypatch):
+    problem = PROBLEMS[name]
+    n = 40
+    calls = []
+    original = direct.solve_direct
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(direct, "solve_direct", spy)
+    curve = spy(problem, n)
+    assert calls == [n]
+    linear_guess = curve.mesh.nodes()[1:-1]  # x(0) = 0 and x(1) = 1
+    reference = _newton(stationarity(problem, n), linear_guess, 1e-10, 50)
+    assert np.array_equal(curve.values[1:-1], reference)
+
+
+@pytest.mark.parametrize("n", [164, 413])
+def test_floored_dense_step_converges_within_default_budget(n, caplog):
+    # without the floor, the dense step from the linear interpolant stops at
+    # n = 164 after 50 iterations with the residual at 1.2e-3
+    lag = dataclasses.replace(example3_problem().lagrangian, uses_xdot=True)
+    problem = dataclasses.replace(example3_problem(), lagrangian=lag)
+    with caplog.at_level(logging.DEBUG, logger="fracvar.direct"):
+        curve = solve_direct(problem, n)
+    steps = newton_steps(caplog)
+    assert len(steps) <= 50 and {(step[0], step[4]) for step in steps} == {(n, "dense")}
+    assert [step[1] for step in steps] == list(range(1, len(steps) + 1))
+    assert np.max(np.abs(example3_residual(curve.values[1:-1], n))) <= 1e-8
 
 
 @pytest.mark.parametrize("linear", [False, True])
@@ -560,7 +581,7 @@ def test_solve_direct_rejects_xdot_dependence_it_drops(linear):
 
 def test_newton_logs_one_record_per_iteration(caplog):
     problem = example3_problem()
-    n = 12  # below the continuation threshold: one Newton run
+    n = 12
     system = stationarity(problem, n)
     counted = []
     counting = dataclasses.replace(system, residual=lambda x: counted.append(1) or system.residual(x))
