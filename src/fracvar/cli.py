@@ -32,6 +32,7 @@ JSON error list goes to stderr).
 import argparse
 import configparser
 import csv
+import functools
 import json
 import math
 import sys
@@ -506,6 +507,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracvar",

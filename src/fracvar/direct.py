@@ -7,10 +7,12 @@ fractional derivative.  That turns J into a function Psi of the interior
 node values, and minimizers are sought as solutions of the stationarity
 system dPsi/dx_i = 0 (one linear solve for quadratic Lagrangians, damped
 Newton otherwise), both with the Newton matrix built from the nodewise second
-partials of L.  Newton is one run from the linear interpolant of the
-boundary values, with L_DD floored in its matrix whenever L_DD >= 0 (see
-solve_direct).  D^alpha x and its transpose go through the GL kernel of
-``operators``.
+partials of L.  Newton is one run, with L_DD floored in its matrix whenever
+L_DD >= 0 (see solve_direct).  It starts from the linear interpolant of the
+boundary values, or, for a Lagrangian of (t, D^alpha x) that supplies the
+inverse of D -> dL/dD, from the minimizer in the reduced coordinates
+y_i = D^alpha x(t_i), where the system is one scalar equation.  D^alpha x and
+its transpose go through the GL kernel of ``operators``.
 """
 
 import functools
@@ -63,8 +65,10 @@ AFFINE_RTOL = 1e3 * np.finfo(float).eps
 #: n = 164 after 50 iterations with the residual at 1.2e-3.
 STRUCTURED_FLOOR = 0.1
 
+_EPS = np.finfo(float).eps
+
 #: Relative forward-difference step of the second partials of L in Newton.
-_FD_STEP = math.sqrt(np.finfo(float).eps)
+_FD_STEP = math.sqrt(_EPS)
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,13 @@ class LagrangianSpec:
     depend on xdot simply ignore that slot and set ``uses_xdot=False`` so
     the stationarity assembly skips the xdot chain terms (``solve_direct``
     raises ValueError when dL_dxdot varies along its solution).
+
+    ``dL_ddalpha_inverse(t, mu)``, optional, solves dL_ddalpha(t, ., ., D)
+    = mu for D node by node, for an L of (t, dalpha) only that is convex in
+    dalpha.  With it, and ``uses_xdot=False``, Newton starts from the
+    minimizer in the reduced coordinates D^alpha x(t_i) (see solve_direct).
+    It only places the start: a wrong inverse can cost Newton iterations,
+    but the solution is still the one Newton confirms.
     """
 
     L: Callable
@@ -82,6 +93,7 @@ class LagrangianSpec:
     dL_dxdot: Callable
     dL_ddalpha: Callable
     uses_xdot: bool = False
+    dL_ddalpha_inverse: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -111,13 +123,16 @@ class StationaritySystem:
     ``step(x, r)`` returns the Newton step at x, where the residual is r,
     its kind, "structured" or "dense", and whether its matrix floors L_DD
     (see solve_direct); ``psi`` is the discretized functional, the floored
-    step's second merit.
+    step's second merit.  ``start()``, present when the Lagrangian supplies
+    ``dL_ddalpha_inverse`` and does not use xdot, returns the interior values
+    of the reduced-coordinate minimizer (see solve_direct).
     """
 
     n: int
     residual: Callable
     step: Callable
     psi: Optional[Callable] = None
+    start: Optional[Callable] = None
 
 
 def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
@@ -247,7 +262,73 @@ def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
                 )
         return s, "dense", floored
 
-    return StationaritySystem(n, residual, step, psi)
+    def start() -> np.ndarray:
+        """Interior values of the minimizer in y = D_1..D_{n-1} (see solve_direct)."""
+        inv = lag.dL_ddalpha_inverse
+        t_int, t_n = t[:-1], t[-1]
+        c = (problem.x_b + problem.x_a * (w[n] - inv_t_u @ w[1:n])) / h_alpha
+
+        def interior_d(z):
+            # L_D(t_n, z); an L of (t, D^alpha x) ignores the x and xdot slots
+            mu = float(lag.dL_ddalpha(t_n, problem.x_b, 0.0, z))
+            return _eval_on(inv, t_int, -inv_t_u * mu)
+
+        def end_defect(z):
+            y = interior_d(z)
+            return c + inv_t_u @ y - z, abs(c) + np.abs(inv_t_u) @ np.abs(y) + abs(z)
+
+        d_free = _eval_on(inv, t, np.zeros(n))  # every mu = 0
+        bracket = float(d_free[-1]), float(c + inv_t_u @ d_free[:-1])
+        z, iterations = _falsi_root(end_defect, *bracket)
+        interior = inverse.matvec(h_alpha * interior_d(z) - w[1:n] * problem.x_a)
+        if LOG.isEnabledFor(logging.DEBUG):
+            LOG.debug(
+                "reduced start n=%d root_iterations=%d z=%.17g residual=%.3e",
+                n, iterations, z, np.max(np.abs(residual(interior))),
+            )
+        return interior
+
+    reduced = lag.dL_ddalpha_inverse is not None and not lag.uses_xdot
+    return StationaritySystem(n, residual, step, psi, start if reduced else None)
+
+
+def _falsi_root(f: Callable, lo: float, hi: float) -> tuple:
+    """(root, iterations) of a continuous f that changes sign on the bracket
+    [lo, hi]: regula falsi with the Illinois modification, bisecting after a
+    step that kept more than half the bracket.  ``f(z)`` returns (value,
+    scale); a point with |value| <= eps * scale, or a bracket an ulp or two
+    wide, ends the search, and so does the 200th step.  No sign change
+    raises ValueError."""
+    if lo > hi:
+        lo, hi = hi, lo
+    (f_lo, s_lo), (f_hi, s_hi) = f(lo), f(hi)
+    for end, value, scale in ((lo, f_lo, s_lo), (hi, f_hi, s_hi)):
+        if abs(value) <= _EPS * scale:
+            return end, 0
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        raise ValueError(
+            f"no sign change on the bracket [{lo!r}, {hi!r}] (values {f_lo:.3e}, "
+            f"{f_hi:.3e}): is L convex in D^alpha x, and the inverse of dL_ddalpha right?"
+        )
+    kept, bisect = 0, False
+    for iteration in range(1, 201):
+        width = hi - lo
+        z = 0.5 * (lo + hi) if bisect else hi - f_hi * width / (f_hi - f_lo)
+        f_z, scale = f(z)
+        if abs(f_z) <= _EPS * scale or not lo < z < hi:
+            break
+        if (f_z < 0.0) == (f_lo < 0.0):
+            lo, f_lo = z, f_z
+            f_hi *= 0.5 if kept == 1 else 1.0
+            kept = 1
+        else:
+            hi, f_hi = z, f_z
+            f_lo *= 0.5 if kept == -1 else 1.0
+            kept = -1
+        bisect = hi - lo > 0.5 * width
+        if hi - lo <= 2.0 * _EPS * max(abs(lo), abs(hi)):
+            break
+    return z, iteration
 
 
 def solve_direct(
@@ -263,12 +344,29 @@ def solve_direct(
     with unit probe steps, exact when the residual is affine in the unknowns
     (quadratic Lagrangians), and raises :class:`NonAffineSystemError` when
     the residual at its result exceeds AFFINE_RTOL * m * (|J| |x| + |r(0)|).
-    Otherwise damped Newton runs from the linear interpolant of the boundary
-    values until the residual's largest entry falls below ``newton_tol``,
-    with probe steps sqrt(eps) (1 + |v|).  Whenever L_DD is >= 0 with a
-    positive mean, its Newton matrix J floors L_DD at STRUCTURED_FLOOR *
-    mean(L_DD), and J is solved by one of two steps, chosen at every iterate
-    from the second partials there:
+    Otherwise damped Newton runs until the residual's largest entry falls
+    below ``newton_tol``, with probe steps sqrt(eps) (1 + |v|).
+
+    Newton starts from the linear interpolant of the boundary values, or,
+    when the Lagrangian supplies ``dL_ddalpha_inverse`` and does not use
+    xdot (an L of t and D^alpha x only, convex in D), from the
+    reduced-coordinate minimizer.  Its unknowns are y = D_1..D_{n-1}: with
+    q = L^-T u (L: rows and columns 1..n-1 of h^alpha G, u^T: its row n on
+    the interior), the end value is D_n = z = c + q.y, with c = h^-alpha
+    (x_b + x_a (w_n - q.w_{1..n-1})), and stationarity in y reads
+    y_i = Dinv(t_i, -q_i L_D(t_n, z)).  So z solves
+    one scalar equation, c + q.y(z) - z = 0, decreasing in z for convex L,
+    with a sign change between Dinv(t_n, 0) and c + q.Dinv(t_i, 0); a
+    bracket without one raises :class:`ValueError`.  A safeguarded regula
+    falsi solves it, and the start is x_int = L^-1 (h^alpha y - w_{1..n-1}
+    x_a), one product with h^alpha T(w(-alpha)).  The start logs one DEBUG
+    record on ``fracvar.direct``: n, the root iterations, z and the start's
+    residual norm.  Newton then runs from it unchanged, and returns at once
+    when the start's residual is already below ``newton_tol``.
+
+    Whenever L_DD is >= 0 with a positive mean, Newton's matrix J floors L_DD
+    at STRUCTURED_FLOOR * mean(L_DD), and J is solved by one of two steps,
+    chosen at every iterate from the second partials there:
 
     * structured, when ``uses_xdot`` is false and L_DD is the only nonzero
       second partial.  J is then G^T diag(L_DD) G, solved exactly in
@@ -295,8 +393,12 @@ def solve_direct(
         zero = np.zeros(n - 1)
         interior = system.step(zero, system.residual(zero), affine=True)[0]
     else:
-        ends = (problem.a, problem.b), (problem.x_a, problem.x_b)
-        interior = _newton(system, np.interp(mesh.nodes()[1:-1], *ends), newton_tol, max_iter)
+        if system.start is not None:
+            guess = system.start()
+        else:
+            ends = (problem.a, problem.b), (problem.x_a, problem.x_b)
+            guess = np.interp(mesh.nodes()[1:-1], *ends)
+        interior = _newton(system, guess, newton_tol, max_iter)
     x = np.empty(n + 1)
     x[0] = problem.x_a
     x[-1] = problem.x_b
@@ -433,6 +535,10 @@ def _example3_dL_ddalpha(t, x, xd, d):
     return 4.0 * e * e * e
 
 
+def _example3_dL_ddalpha_inverse(t, mu):
+    return example3_phi(t) + np.cbrt(mu / 4.0)
+
+
 def example3_problem() -> DirectProblem:
     """Quartic tracking problem on [0,1] with oscillating minimizer
     16t^5 - 20t^3 + 5t; its stationarity system is nonlinear (cubic)."""
@@ -442,5 +548,6 @@ def example3_problem() -> DirectProblem:
         dL_dxdot=lambda t, x, xd, d: 0.0 * d,
         dL_ddalpha=_example3_dL_ddalpha,
         uses_xdot=False,
+        dL_ddalpha_inverse=_example3_dL_ddalpha_inverse,
     )
     return DirectProblem(0.0, 1.0, 0.0, 1.0, 0.5, lag)

@@ -850,3 +850,36 @@ def test_bound_that_raises_is_a_failure_record(tmp_path, capsys, monkeypatch):
     assert failures == [{"run": "bounds:moment:t4:N=4", "error": "pole in the bound"}]
     _, rows = read_csv(out)
     assert {int(r[0]) for r in rows} == {2}
+
+
+def test_main_calls_in_one_process_match_fresh_interpreters(tmp_path, capsys):
+    # the parser is built once per process and shared by every main call
+    cfg = tmp_path / "direct.ini"
+    cfg.write_text("[direct]\nexample = ex2\nn = 5 7\n")
+    cases = [
+        ["direct", "--example", "ex3", "--n", "10", "20"],
+        ["derivative", "--function", "t2", "--method", "gl", "--n", "30"],
+        ["direct", "--config", str(cfg)],
+        ["direct", "--example", "ex1", "--tol", "1e-8"],
+        ["bounds", "--function", "t4", "--N", "2", "3", "--points", "4"],
+        ["indirect", "--example", "ex2-moment", "--N", "2", "--n", "20", "--eps", "0.5"],
+        ["table-b", "--alpha", "0.5", "--N", "2", "4"],
+        ["direct", "--example", "ex3", "--n", "10", "--tol", "1e-30"],
+        ["direct", "--bogus"],
+        ["derivative", "--function", "t4", "--method", "moment", "--N", "2", "--points", "3"],
+    ]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    code = "import sys; from fracvar.cli import main; sys.exit(main(sys.argv[1:]))"
+    fresh, shared = [], []
+    for i, argv in enumerate(cases):
+        out = tmp_path / f"fresh{i}.csv"
+        proc = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        fresh.append((proc.returncode, proc.stderr, out.read_bytes() if out.exists() else None))
+    capsys.readouterr()
+    for i, argv in enumerate(cases):
+        out = tmp_path / f"shared{i}.csv"
+        rc = main(argv + ["--out", str(out)])
+        shared.append((rc, capsys.readouterr().err, out.read_bytes() if out.exists() else None))
+    assert [entry[0] for entry in fresh] == [0, 0, 0, 1, 0, 1, 0, 2, 1, 0]
+    assert shared == fresh

@@ -394,9 +394,15 @@ def newton_steps(caplog):
     return [r.args for r in caplog.records if r.name == "fracvar.direct"]
 
 
+def without_inverse(problem):
+    """The problem with Newton started from the linear interpolant."""
+    lag = dataclasses.replace(problem.lagrangian, dL_ddalpha_inverse=None)
+    return dataclasses.replace(problem, lagrangian=lag)
+
+
 @pytest.mark.parametrize("n", [16, 41, 103, 260, 400])
 def test_example3_structured_matches_dense(n, caplog):
-    problem = example3_problem()
+    problem = without_inverse(example3_problem())
     with caplog.at_level(logging.DEBUG, logger="fracvar.direct"):
         got = solve_direct(problem, n).values
     assert {step[4] for step in newton_steps(caplog)} == {"structured"}
@@ -443,6 +449,145 @@ def test_example3_structured_solve_never_builds_dense_g():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_example3_newton_without_inverse_at_large_n(caplog):
+    # the reduced start leaves Newton nothing to do on ex3: this keeps its
+    # structured step covered at the top of the default budget
+    problem = without_inverse(example3_problem())
+    n = 4160
+    tracemalloc.start()
+    try:
+        with caplog.at_level(logging.DEBUG, logger="fracvar.direct"):
+            curve = solve_direct(problem, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    steps = newton_steps(caplog)
+    assert 0 < len(steps) <= 50 and {step[4] for step in steps} == {"structured"}
+    assert np.max(np.abs(example3_residual(curve.values[1:-1], n))) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# reduced-coordinate start for Lagrangians of (t, D^alpha x)
+# ---------------------------------------------------------------------------
+
+
+def start_records(caplog):
+    """(n, root iterations, z, start residual) of every logged reduced start."""
+    return [r.args for r in caplog.records
+            if r.name == "fracvar.direct" and r.msg.startswith("reduced start")]
+
+
+@pytest.mark.parametrize("n", [16, 41, 103, 260, 400])
+def test_example3_reduced_start_matches_dense(n):
+    problem = example3_problem()
+    start = stationarity(problem, n).start()
+    # Newton from the linear interpolant, stopped at 1e-10, lies 1.1e-10 away
+    assert np.max(np.abs(start - dense_solve(problem, n, tol=1e-13)[1:-1])) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [10, 80, 4160])
+def test_example3_reduced_start_leaves_newton_nothing_to_do(n, caplog):
+    problem = example3_problem()
+    with caplog.at_level(logging.DEBUG, logger="fracvar.direct"):
+        curve = solve_direct(problem, n)
+    (record,) = [r.args for r in caplog.records if r.name == "fracvar.direct"]
+    assert start_records(caplog) == [record]
+    got_n, iterations, z, start_residual = record
+    assert got_n == n and 0 <= iterations <= 6
+    assert start_residual < 1e-10
+    assert np.array_equal(curve.values[1:-1], stationarity(problem, n).start())
+    # z is D^alpha x at t_n of the returned curve
+    d_n = gl_weights(problem.alpha, n)[::-1] @ curve.values / (1.0 / n) ** problem.alpha
+    assert abs(d_n - z) <= 1e-12 * abs(z)
+
+
+def _cosh_target(t):
+    return np.sin(3.0 * t) + t
+
+
+def cosh_problem(alpha, inverse):
+    """L = cosh(D^alpha x - g(t)): convex in D, without a closed-form minimizer."""
+    lag = LagrangianSpec(
+        L=lambda t, x, xd, d: np.cosh(d - _cosh_target(t)),
+        dL_dx=lambda t, x, xd, d: 0.0 * d,
+        dL_dxdot=lambda t, x, xd, d: 0.0 * d,
+        dL_ddalpha=lambda t, x, xd, d: np.sinh(d - _cosh_target(t)),
+        dL_ddalpha_inverse=inverse,
+    )
+    return DirectProblem(0.0, 1.0, 0.0, 1.0, alpha, lag)
+
+
+def _cosh_inverse(t, mu):
+    return _cosh_target(t) + np.arcsinh(mu)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("n", [40, 1640])
+def test_reduced_start_matches_newton_on_non_catalog_lagrangian(alpha, n, caplog):
+    with caplog.at_level(logging.DEBUG, logger="fracvar.direct"):
+        got = solve_direct(cosh_problem(alpha, _cosh_inverse), n).values
+    assert len(start_records(caplog)) == 1
+    reference = solve_direct(cosh_problem(alpha, None), n).values
+    assert np.max(np.abs(got - reference)) <= 1e-10
+
+
+#: Wrong inverses that are right at mu = 0, so that the bracket still holds
+WRONG_INVERSES = {
+    "doubled": lambda t, mu: _cosh_target(t) + 2.0 * np.arcsinh(mu),
+    "third": lambda t, mu: _cosh_target(t) + np.arcsinh(mu) / 3.0,
+    "cube-root": lambda t, mu: _cosh_target(t) + np.cbrt(mu),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_INVERSES))
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+@pytest.mark.parametrize("n", [40, 400])
+def test_wrong_inverse_costs_iterations_never_values(name, alpha, n):
+    reference = solve_direct(cosh_problem(alpha, None), n).values
+    try:
+        got = solve_direct(cosh_problem(alpha, WRONG_INVERSES[name]), n).values
+    except NewtonConvergenceError:
+        return
+    assert np.max(np.abs(got - reference)) <= 1e-10
+
+
+def test_newton_from_reduced_start_keeps_its_budget():
+    # this wrong inverse leaves Newton 4 iterations to do
+    with pytest.raises(NewtonConvergenceError, match="within 2 iterations"):
+        solve_direct(cosh_problem(0.5, WRONG_INVERSES["doubled"]), 40, max_iter=2)
+
+
+def test_wrong_inverse_on_example3_gives_newton_answer():
+    lag = dataclasses.replace(
+        example3_problem().lagrangian,
+        dL_ddalpha_inverse=lambda t, mu: example3_phi(t) + 2.0 * np.cbrt(mu / 4.0),
+    )
+    problem = dataclasses.replace(example3_problem(), lagrangian=lag)
+    reference = solve_direct(without_inverse(problem), 40).values
+    assert np.max(np.abs(solve_direct(problem, 40).values - reference)) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_reduced_start_without_sign_change_raises(alpha):
+    # with a decreasing "inverse", c + q.y(z) - z has the sign of
+    # z_coupled - z_free at both ends of the bracket
+    problem = cosh_problem(alpha, lambda t, mu: _cosh_target(t) - np.arcsinh(mu))
+    with pytest.raises(ValueError, match="no sign change"):
+        solve_direct(problem, 40)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("n", [5, 40, 410])
+def test_linear_solve_ignores_inverse(alpha, n):
+    problem = dataclasses.replace(example1_problem(), alpha=alpha)
+    inverse = lambda t, mu: direct._f1(t) + mu / 2.0  # dL_ddalpha = 2 (D - f1(t))
+    lag = dataclasses.replace(problem.lagrangian, dL_ddalpha_inverse=inverse)
+    with_inverse = dataclasses.replace(problem, lagrangian=lag)
+    plain = solve_direct(problem, n, linear=True).values
+    assert np.array_equal(solve_direct(with_inverse, n, linear=True).values, plain)
 
 
 def _target(t):
@@ -530,7 +675,7 @@ def test_coupled_lagrangians_take_dense_step(name, caplog):
 
 @pytest.mark.parametrize("name", ["ex3", "xdot"])
 def test_solve_direct_is_one_newton_run_from_linear_interpolant(name, monkeypatch):
-    problem = PROBLEMS[name]
+    problem = without_inverse(PROBLEMS[name])
     n = 40
     calls = []
     original = direct.solve_direct
