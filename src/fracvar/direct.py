@@ -84,8 +84,11 @@ class LagrangianSpec:
     = mu for D node by node, for an L of (t, dalpha) only that is convex in
     dalpha.  With it, and ``uses_xdot=False``, Newton starts from the
     minimizer in the reduced coordinates D^alpha x(t_i) (see solve_direct).
-    It only places the start: a wrong inverse can cost Newton iterations,
-    but the solution is still the one Newton confirms.
+    Nothing checks that L ignores x or that the inverse is right.  It only
+    places the start, so what Newton returns still passes its residual
+    test; but a wrong inverse, or one given for an L that also depends on
+    x, can cost iterations or raise ValueError (see solve_direct) or
+    NewtonConvergenceError where the linear interpolant would converge.
     """
 
     L: Callable
@@ -357,12 +360,15 @@ def solve_direct(
     y_i = Dinv(t_i, -q_i L_D(t_n, z)).  So z solves
     one scalar equation, c + q.y(z) - z = 0, decreasing in z for convex L,
     with a sign change between Dinv(t_n, 0) and c + q.Dinv(t_i, 0); a
-    bracket without one raises :class:`ValueError`.  A safeguarded regula
+    bracket without one, which a wrong inverse or an L not convex in D or
+    also of x can leave, raises :class:`ValueError`.  A safeguarded regula
     falsi solves it, and the start is x_int = L^-1 (h^alpha y - w_{1..n-1}
     x_a), one product with h^alpha T(w(-alpha)).  The start logs one DEBUG
     record on ``fracvar.direct``: n, the root iterations, z and the start's
     residual norm.  Newton then runs from it unchanged, and returns at once
-    when the start's residual is already below ``newton_tol``.
+    when the start's residual is already below ``newton_tol``; from a start
+    placed by a wrong inverse it may take more iterations or raise
+    :class:`NewtonConvergenceError`.
 
     Whenever L_DD is >= 0 with a positive mean, Newton's matrix J floors L_DD
     at STRUCTURED_FLOOR * mean(L_DD), and J is solved by one of two steps,

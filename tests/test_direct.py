@@ -391,7 +391,8 @@ def dense_solve(problem, n, tol=1e-10, max_iter=50):
 
 def newton_steps(caplog):
     """(n, iteration, residual, damping, step kind) of every logged iteration."""
-    return [r.args for r in caplog.records if r.name == "fracvar.direct"]
+    return [r.args for r in caplog.records
+            if r.name == "fracvar.direct" and r.msg.startswith("newton")]
 
 
 def without_inverse(problem):
@@ -431,13 +432,24 @@ def test_inverse_gl_weights_invert_gl_toeplitz(alpha, m):
 
 @pytest.mark.parametrize("n", [413, 655, 1310, 2621, 4160])
 def test_example3_large_n_within_default_budget(n, caplog):
-    with caplog.at_level(logging.DEBUG, logger="fracvar.direct"):
-        curve = solve_direct(example3_problem(), n)
+    # Newton from the linear interpolant: with its inverse, ex3 starts at
+    # the reduced-coordinate minimizer and Newton has nothing to do
+    problem = without_inverse(example3_problem())
+    tracemalloc.start()
+    try:
+        with caplog.at_level(logging.DEBUG, logger="fracvar.direct"):
+            curve = solve_direct(problem, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert np.max(np.abs(example3_residual(curve.values[1:-1], n))) <= 1e-8
     per_level = {}
     for step in newton_steps(caplog):
         per_level[step[0]] = per_level.get(step[0], 0) + 1
     assert n in per_level and max(per_level.values()) <= 50
+    assert {step[4] for step in newton_steps(caplog)} == {"structured"}
+    # the dense G alone takes (n + 1) n 8 bytes = 138 MB at n = 4160
+    assert peak < 32 * 2**20
 
 
 def test_example3_structured_solve_never_builds_dense_g():
@@ -449,24 +461,6 @@ def test_example3_structured_solve_never_builds_dense_g():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
-
-
-def test_example3_newton_without_inverse_at_large_n(caplog):
-    # the reduced start leaves Newton nothing to do on ex3: this keeps its
-    # structured step covered at the top of the default budget
-    problem = without_inverse(example3_problem())
-    n = 4160
-    tracemalloc.start()
-    try:
-        with caplog.at_level(logging.DEBUG, logger="fracvar.direct"):
-            curve = solve_direct(problem, n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
-    steps = newton_steps(caplog)
-    assert 0 < len(steps) <= 50 and {step[4] for step in steps} == {"structured"}
-    assert np.max(np.abs(example3_residual(curve.values[1:-1], n))) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -546,11 +540,11 @@ WRONG_INVERSES = {
 @pytest.mark.parametrize("alpha", [0.3, 0.7])
 @pytest.mark.parametrize("n", [40, 400])
 def test_wrong_inverse_costs_iterations_never_values(name, alpha, n):
+    # each of these converges; a wrong inverse can also end in ValueError
+    # (see test_reduced_start_without_sign_change_raises) or
+    # NewtonConvergenceError where Newton from the interpolant converges
     reference = solve_direct(cosh_problem(alpha, None), n).values
-    try:
-        got = solve_direct(cosh_problem(alpha, WRONG_INVERSES[name]), n).values
-    except NewtonConvergenceError:
-        return
+    got = solve_direct(cosh_problem(alpha, WRONG_INVERSES[name]), n).values
     assert np.max(np.abs(got - reference)) <= 1e-10
 
 
