@@ -3,7 +3,10 @@
 Each entry carries the function, its first derivative, an analytic
 derivative bundle for the integer-order expansions, exact fractional
 derivatives where closed forms exist, and the envelope functions feeding
-the truncation-error bounds.
+the truncation-error bounds.  The exact derivatives and envelopes take t
+as a scalar or an array, except the two that need a per-node quadrature
+or check (exp2t's Hadamard reference, lnt's), which the CLI evaluates
+node by node.
 """
 
 import math
@@ -78,8 +81,8 @@ def _t4() -> TestFunction:
         rl_exact=lambda al, t: rl_power_exact(4.0, al, t, 0.0),
         # in log-time t^4 is exp(4s), so the Hadamard derivative from 1 is
         # (ln t)^(-alpha) E_{1,1-alpha}(4 ln t)
-        hadamard_exact=lambda al, t: math.log(t) ** (-al)
-        * mittag_leffler(1.0, 1.0 - al, 4.0 * math.log(t)),
+        hadamard_exact=lambda al, t: np.log(t) ** (-al)
+        * mittag_leffler(1.0, 1.0 - al, 4.0 * np.log(t)),
         integer_m=_power_m(4),
         moment_l2=lambda t: 12.0 * t**2,
         hadamard_lmax=lambda t: 16.0 * t**3,  # 4 tau^3 + 12 tau^3
@@ -103,9 +106,9 @@ def _exp2t() -> TestFunction:
         hadamard_exact=lambda al, t: hadamard_reference(
             lambda s: math.exp(2.0 * s), lambda s: 2.0 * math.exp(2.0 * s), al, t, 1.0
         ),
-        integer_m=lambda N, t: 2.0 ** (N + 1) * math.exp(2.0 * t),
-        moment_l2=lambda t: 4.0 * math.exp(2.0 * t),
-        hadamard_lmax=lambda t: (2.0 + 4.0 * t) * math.exp(2.0 * t),
+        integer_m=lambda N, t: 2.0 ** (N + 1) * np.exp(2.0 * t),
+        moment_l2=lambda t: 4.0 * np.exp(2.0 * t),
+        hadamard_lmax=lambda t: (2.0 + 4.0 * t) * np.exp(2.0 * t),
     )
 
 

@@ -22,7 +22,7 @@ arithmetic cannot prove (zero, non-finite, outside (1e-280, 1e280), next to
 a power of ten, or within 1e-6 of a rounding tie) falls back to ``%``, so
 the bytes are those of ``%.17g`` either way.  The four expansion routes of
 ``derivative`` and ``bounds`` (integer, moment, Atanackovic, Hadamard) share
-one per-point sweep, ``_expansion_sweep``.  Output is a headed CSV with LF
+one sweep, ``_expansion_sweep``.  Output is a headed CSV with LF
 line endings, so identical configs produce byte-identical files.
 
 Exit codes: 0 all runs completed, 1 usage error, 2 numerical failure (a
@@ -208,48 +208,85 @@ def _eval_grid(a: float, b: float, points: int) -> np.ndarray:
 def _expansion_sweep(func, method, exact, alpha, a, grid, Ns, quad_n):
     """Expansion approximations at each grid point for each N of a sweep.
 
-    Each point's exact(t) is computed once; on the moment routes so are its
-    s, x(t) and dx/ds and its moments at max(Ns), and each N evaluates the
-    expansion formula on the moment prefix it uses.  Yields (N, t, approx,
-    exact, error) in sweep order, with t, approx and exact arrays that stop
-    before the first point that raised a numerical error, and that error
-    (or None).  When the order-N part (its coefficients) raises, N yields
-    empty arrays and that error.  An integer order beyond the function's
-    derivative bundle is a usage error.
+    Two rules drop points.  The shared part is computed once: the exact
+    column in one array call, and on the moment routes each point's s, x(t)
+    and dx/ds and its moments at max(Ns).  It stops before the first point
+    that raised a numerical error (when the exact column raises, it is
+    evaluated point by point to find that point), and that error is reported
+    for every N.  Each N then evaluates its formula on the shared points,
+    the moment routes in one array call on the moment prefix that N uses;
+    a point where the result is not finite is dropped from that N alone, and
+    its error names the dropped t values.  Yields (N, t, approx, exact,
+    error) in sweep order, with the error that dropped points (or None).
+    When the order-N part (its coefficients) raises, N yields empty arrays
+    and that error.  An integer order beyond the function's derivative
+    bundle is a usage error.
     """
     N_max = max(Ns)
     if method == "integer" and N_max > func.bundle.order:
         raise UsageError(
             f"integer method on {func.name!r} needs N <= {func.bundle.order}, got {N_max}"
         )
-    hadamard = method in _HADAMARD_METHODS
-    xdot = None if method == "atanackovic" else func.xdot
-    shared, error = [], None
-    for t in grid:
-        try:
-            if method == "integer":
-                point = moments = None
-            else:
+    exacts, error = _exact_prefix(exact, grid)
+    if method != "integer":
+        hadamard = method in _HADAMARD_METHODS
+        xdot = None if method == "atanackovic" else func.xdot
+        points, moments = [], []
+        # one point past the exact prefix: where both raise, the moment error is reported
+        for t in grid[: len(exacts) + 1]:
+            try:
                 point = expansions._moment_point(func.x, xdot, t, a, right=False, hadamard=hadamard)
-                moments = expansions.moment_values(func.x, N_max, t, a, quad_n, hadamard=hadamard)
-            shared.append((point, moments, exact(t)))
-        except NUMERICAL_ERRORS as exc:
-            error = exc
-            break
-    ts = grid[: len(shared)]
-    exacts = np.array([ex for _, _, ex in shared], dtype=float)
+                values = expansions.moment_values(func.x, N_max, t, a, quad_n,
+                                                  hadamard=hadamard)
+            except NUMERICAL_ERRORS as exc:
+                error = exc
+                break
+            points.append(point)
+            moments.append(values)
+        n = min(len(points), len(exacts))
+        exacts, points = exacts[:n], points[:n]
+        s = np.array([p[0] for p in points], dtype=float)
+        x = np.array([p[1] for p in points], dtype=float)
+        xs = None if xdot is None else np.array([p[2] for p in points], dtype=float)
+        moments = np.array(moments[:n], dtype=float).reshape(n, N_max - 1)
+    ts = grid[: len(exacts)]
     for N in Ns:
         try:
             if method == "integer":
-                approx = [expansions.expand_integer(func.bundle, alpha, N, t, a) for t in ts]
+                approx = np.array(
+                    [expansions.expand_integer(func.bundle, alpha, N, t, a) for t in ts]
+                )
             else:
                 coeffs = expansions.moment_coeffs(alpha, N)
-                approx = [expansions.moment_expansion(coeffs, *point, moments)
-                          for point, moments, _ in shared]
+                approx = expansions._moment_formula(coeffs, s, x, xs, moments)
         except NUMERICAL_ERRORS as exc:
             yield N, ts[:0], exacts[:0], exacts[:0], exc
             continue
-        yield N, ts, np.array(approx, dtype=float), exacts, error
+        finite = np.isfinite(approx)
+        if finite.all():
+            yield N, ts, approx, exacts, error
+            continue
+        dropped = ", ".join(map(repr, ts[~finite].tolist()))
+        note = f"{method} expansion of order {N} is not finite at t = {dropped}"
+        if error is not None:
+            note += f"; {error}"
+        yield N, ts[finite], approx[finite], exacts[finite], expansions.ExpansionDomainError(note)
+
+
+def _exact_prefix(exact, grid) -> tuple:
+    """The exact values on ``grid`` up to the first point that raises a
+    numerical error, and that error (or None): one array call, and only when
+    it raises, one call per point."""
+    try:
+        return expansions._eval_on(exact, grid), None
+    except NUMERICAL_ERRORS:
+        values = []
+        for t in grid:
+            try:
+                values.append(float(exact(t)))
+            except NUMERICAL_ERRORS as exc:
+                return np.array(values, dtype=float), exc
+        return np.array(values, dtype=float), None
 
 
 def _reference(func, method: str, alpha: float) -> tuple:
@@ -333,8 +370,7 @@ def cmd_derivative(opts: _Options) -> tuple:
                     approxes = gl_left_all(curve, alpha)[1:]
                 else:
                     approxes = diethelm_caputo_all(curve, alpha, [func.x0])[1:]
-                # one array call, so the power-law references round like
-                # numpy's array pow; Mittag-Leffler ones fall back per node
+                # one array call: one pow, or one Mittag-Leffler sum, per column
                 exacts = expansions._eval_on(exact, tnodes[1:])
                 errors = np.abs(approxes - exacts)
                 blocks.append((np.full(n, n), tnodes[1:], exacts, approxes, errors))
@@ -482,7 +518,7 @@ def cmd_bounds(opts: _Options) -> tuple:
     for N, t, approx, ex, exc in _expansion_sweep(func, method, exact, alpha, a, grid, Ns, quad_n):
         run = f"bounds:{method}:{fname}:N={N}"
         try:
-            bounds = np.array([bound(N, ti) for ti in t], dtype=float)
+            bounds = expansions._eval_on(lambda ti: bound(N, ti), t)
         except NUMERICAL_ERRORS as bound_exc:
             failures.append({"run": run, "error": str(bound_exc)})
             continue

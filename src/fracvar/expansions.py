@@ -286,45 +286,46 @@ def _eval_on(f: Callable, *arrays: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def moment_expansion(
-    coeffs: MomentCoeffs,
-    s: float,
-    x_t: float,
-    xs_t: Optional[float],
-    moments: Sequence[float],
-) -> float:
+def moment_expansion(coeffs: MomentCoeffs, s, x_t, xs_t, moments):
     """The moment-expansion formula that every moment expansion evaluates:
 
         A s^(-alpha) x + B s^(1-alpha) dx/ds - sum_{p=2..N} C_p s^(1-p-alpha) V_p
 
-    with N = ``coeffs.N`` and V_p = ``moments[p - 2]``.  Entries past N - 1
-    are not used, so moments computed once at the largest N of a sweep serve
-    every smaller N.  s > 0 and ``xs_t`` = dx/ds (None drops the B term)
-    are chosen by the flags of :func:`expand_moment`.  Raises
-    :class:`ExpansionDomainError` when a term or the result is not a finite
-    float (s^(1-p-alpha) overflows for small s and large p).
+    with N = ``coeffs.N`` and V_p = ``moments[..., p - 2]``.  Entries past
+    N - 1 are not used, so moments computed once at the largest N of a sweep
+    serve every smaller N.  s > 0 and ``xs_t`` = dx/ds (None drops the B
+    term) are chosen by the flags of :func:`expand_moment`.  One point takes
+    floats and a 1-D ``moments`` and returns a float; P points take arrays of
+    s, x and dx/ds and ``moments`` of shape (P, K) and return an array, each
+    entry summed in the same order as a single point.  Raises
+    :class:`ExpansionDomainError` when the result is not a finite float at
+    some point (s^(1-p-alpha) overflows for small s and large p).
     """
-    n_moments = coeffs.N - 1
-    if len(moments) < n_moments:
-        raise ValueError(f"order {coeffs.N} needs {n_moments} moments, got {len(moments)}")
-    # Python floats throughout: their ** raises OverflowError and their
-    # products overflow to inf without a numpy RuntimeWarning
-    al, s = coeffs.alpha, float(s)
-    try:
-        out = coeffs.A * s ** (-al) * float(x_t)
-        if xs_t is not None:
-            out += coeffs.B * s ** (1.0 - al) * float(xs_t)
-        terms = zip(coeffs.C.tolist(), np.asarray(moments[:n_moments], dtype=float).tolist())
-        for p, (c, v) in enumerate(terms, start=2):
-            out -= c * s ** (1.0 - p - al) * v
-    except OverflowError:
-        out = math.inf
-    # a non-finite term leaves the sum non-finite
-    if not math.isfinite(out):
+    out = _moment_formula(coeffs, s, x_t, xs_t, moments)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        where = float(s) if out.ndim == 0 else np.asarray(s, dtype=float)[bad].tolist()
         raise ExpansionDomainError(
-            f"moment expansion of order {coeffs.N} is not finite at s={s!r}"
+            f"moment expansion of order {coeffs.N} is not finite at s={where!r}"
         )
-    return out
+    return float(out) if out.ndim == 0 else out
+
+
+def _moment_formula(coeffs: MomentCoeffs, s, x_t, xs_t, moments) -> np.ndarray:
+    """:func:`moment_expansion` without its finiteness check: a point where a
+    term overflows comes back inf or nan, and no numpy warning is issued."""
+    n_moments = coeffs.N - 1
+    moments = np.asarray(moments, dtype=float)
+    if moments.shape[-1] < n_moments:
+        raise ValueError(f"order {coeffs.N} needs {n_moments} moments, got {moments.shape[-1]}")
+    al, s = coeffs.alpha, np.asarray(s, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = coeffs.A * s ** (-al) * x_t
+        if xs_t is not None:
+            out = out + coeffs.B * s ** (1.0 - al) * xs_t
+        for p, c in enumerate(coeffs.C[:n_moments].tolist(), start=2):
+            out = out - c * s ** (1.0 - p - al) * moments[..., p - 2]
+    return np.asarray(out)
 
 
 def _moment_point(
@@ -454,7 +455,8 @@ def bound_integer(M: float, alpha: float, N: int, t: float, a: float) -> float:
 
         M (t-a)^(N+1-alpha) / (Gamma(1-alpha) (N+1)!)
 
-    with M = max over [a, t] of |x^(N+1)|.
+    with M = max over [a, t] of |x^(N+1)|.  ``t`` and ``M`` may be arrays
+    (evaluated elementwise).
     """
     _check_alpha(alpha)
     return M * (t - a) ** (N + 1.0 - alpha) / (gamma(1.0 - alpha) * math.factorial(N + 1))
@@ -466,7 +468,8 @@ def bound_moment(L2: float, alpha: float, N: int, t: float, a: float) -> float:
         L2 * e^((1-alpha)^2 + 1-alpha) / (Gamma(2-alpha) (1-alpha) N^(1-alpha))
             * (t-a)^(2-alpha)
 
-    with L2 = max over [a, t] of |x''|.
+    with L2 = max over [a, t] of |x''|.  ``t`` and ``L2`` may be arrays
+    (evaluated elementwise).
     """
     _check_alpha(alpha)
     s = 1.0 - alpha
@@ -479,7 +482,8 @@ def bound_hadamard(Lmax: float, alpha: float, N: int, t: float, a: float) -> flo
         Lmax * e^((1-alpha)^2 + 1-alpha) / (Gamma(2-alpha) (1-alpha) N^(1-alpha))
             * (ln(t/a))^(1-alpha) (t-a)
 
-    with Lmax = max over [a, t] of |x'(tau) + tau x''(tau)|.
+    with Lmax = max over [a, t] of |x'(tau) + tau x''(tau)|.  ``t`` and
+    ``Lmax`` may be arrays (evaluated elementwise).
     """
     _check_alpha(alpha)
     s = 1.0 - alpha
@@ -487,6 +491,6 @@ def bound_hadamard(Lmax: float, alpha: float, N: int, t: float, a: float) -> flo
         Lmax
         * math.exp(s * s + s)
         / (gamma(2.0 - alpha) * s * N**s)
-        * math.log(t / a) ** s
+        * np.log(t / a) ** s
         * (t - a)
     )

@@ -228,13 +228,21 @@ def rl_power_exact(nu: float, alpha: float, t, a: float):
     return gamma(nu + 1.0) / gamma(nu + 1.0 - alpha) * (t - a) ** (nu - alpha)
 
 
-def rl_exp_exact(lam: float, alpha: float, t: float) -> float:
+def rl_exp_exact(lam: float, alpha: float, t):
     """Exact left RL derivative (from 0) of exp(lam*t):
 
         t^(-alpha) * E_{1, 1-alpha}(lam * t),  t > 0.
+
+    ``t`` may be a scalar or an array; an array takes one
+    :func:`~fracvar.specfun.mittag_leffler` call for all its nodes.
     """
-    if not t > 0.0:
-        raise ValueError(f"need t > 0, got {t!r}")
+    if np.ndim(t) == 0:
+        if not t > 0.0:
+            raise ValueError(f"need t > 0, got {t!r}")
+    else:
+        t = np.asarray(t, dtype=float)
+        if not np.all(t > 0.0):
+            raise ValueError(f"need t > 0 at every node, got min t={t.min()}")
     return t ** (-alpha) * mittag_leffler(1.0, 1.0 - alpha, lam * t)
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fracvar import _csvtext, cli, expansions, indirect
-from fracvar._functions import CATALOG
+from fracvar._functions import CATALOG, caputo_exact
 from fracvar.cli import main
 from fracvar.direct import example3_minimizer
 from fracvar.operators import Mesh, SampledCurve
@@ -795,6 +795,89 @@ def test_moment_route_failure_is_one_record_per_n(tmp_path, capsys, monkeypatch,
     assert [(int(r[0]), float(r[1])) for r in rows] == [
         (N, t) for N in (2, 4) for t in (0.1, 0.2, 0.30000000000000004)
     ]
+
+
+def test_moment_overflow_drops_only_its_points(tmp_path, capsys):
+    # at N = 200, s^(1-p-alpha) overflows at t = 0.01 and 0.02 only: the
+    # other 98 points keep their rows, and the record names the two dropped
+    out = tmp_path / "d.csv"
+    code = run(["derivative", "--method", "moment", "--function", "t2", "--N", "200",
+                "--out", str(out)])
+    assert code == 2
+    failures = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert failures == [{"run": "moment:t2:N=200",
+                         "error": "moment expansion of order 200 is not finite at t = 0.01, 0.02"}]
+    _, rows = read_csv(out)
+    assert [float(r[1]) for r in rows] == cli._eval_grid(0.0, 1.0, 100)[2:].tolist()
+    func = CATALOG["t2"]
+    for r in rows:
+        t, approx = float(r[1]), float(r[3])
+        ref = _per_n_approx("moment", func, 0.5, 200, t, 2000)
+        assert abs(approx - ref) <= 1e-13 * abs(ref), t
+
+
+def _ulps(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.abs(a - b) / np.spacing(np.abs(b))
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["derivative", "--method", "diethelm", "--function", "exp2t", "--n", "200", "400"], 2),
+    (["derivative", "--method", "moment", "--function", "exp2t", "--quad-n", "200"], 1),
+    (["bounds", "--method", "moment", "--function", "exp2t", "--quad-n", "200"], 1),
+])
+def test_one_mittag_leffler_call_per_column(tmp_path, monkeypatch, argv, calls):
+    from fracvar import operators
+
+    ml, seen = operators.mittag_leffler, []
+
+    def counting(alpha, beta, z):
+        seen.append(z)
+        return ml(alpha, beta, z)
+
+    monkeypatch.setattr(operators, "mittag_leffler", counting)
+    assert run([*argv, "--out", str(tmp_path / "d.csv")]) == 0
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("method, function", [
+    ("integer", "exp2t"), ("moment", "exp2t"), ("moment", "t4"), ("hadamard", "exp2t"),
+    ("hadamard", "t4"),
+])
+def test_bound_column_matches_per_point_calls(tmp_path, method, function):
+    out = tmp_path / "b.csv"
+    quad_n = [] if method == "integer" else ["--quad-n", "100"]
+    assert run(["bounds", "--method", method, "--function", function, "--alpha", "0.3",
+                "--N", "2", "5", *quad_n, "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    func = CATALOG[function]
+    a = 1.0 if method == "hadamard" else 0.0
+    per_point = {
+        "integer": lambda N, t: expansions.bound_integer(func.integer_m(N, t), 0.3, N, t, a),
+        "moment": lambda N, t: expansions.bound_moment(func.moment_l2(t), 0.3, N, t, a),
+        "hadamard": lambda N, t: expansions.bound_hadamard(func.hadamard_lmax(t), 0.3, N, t, a),
+    }[method]
+    got = [float(r[3]) for r in rows]
+    assert _ulps(got, [per_point(int(r[0]), float(r[1])) for r in rows]).max() <= 4
+
+
+@pytest.mark.parametrize("argv, exact", [
+    (["derivative", "--method", "moment", "--function", "exp2t", "--quad-n", "100"],
+     lambda func, t: func.rl_exact(0.3, t)),
+    (["derivative", "--method", "diethelm", "--function", "exp2t", "--n", "50"],
+     lambda func, t: caputo_exact(func, 0.3, t)),
+    (["derivative", "--method", "hadamard-moment", "--function", "t4", "--quad-n", "100"],
+     lambda func, t: func.hadamard_exact(0.3, t)),
+    (["derivative", "--method", "integer", "--function", "t4"],
+     lambda func, t: func.rl_exact(0.3, t)),
+])
+def test_exact_column_matches_per_point_calls(tmp_path, argv, exact):
+    out = tmp_path / "d.csv"
+    assert run([*argv, "--alpha", "0.3", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    func = CATALOG[argv[4]]
+    got = [float(r[2]) for r in rows]
+    assert _ulps(got, [exact(func, float(r[1])) for r in rows]).max() <= 4
 
 
 # every subcommand that takes --alpha, with each of its methods or examples

@@ -325,6 +325,24 @@ def test_moment_expansion_uses_the_moment_prefix():
         moment_expansion(moment_coeffs(0.4, 5), t, 1.0, 1.0, long[:3])
 
 
+def test_moment_expansion_on_arrays():
+    # P points at once: each entry as a single point gives it, and one
+    # non-finite entry raises, naming its s
+    x, xd = lambda t: np.exp(2.0 * t), lambda t: 2.0 * np.exp(2.0 * t)
+    ts = np.array([0.01, 0.3, 0.7, 1.0])
+    moments = np.array([moment_values(x, 200, t, 0.0, 200) for t in ts])
+    for N, xs in ((6, xd(ts)), (6, None), (40, xd(ts))):
+        coeffs = moment_coeffs(0.4, N)
+        got = moment_expansion(coeffs, ts, x(ts), xs, moments)
+        assert got.shape == (4,)
+        for i, t in enumerate(ts):
+            xs_t = None if xs is None else float(xs[i])
+            ref = moment_expansion(coeffs, t, float(x(t)), xs_t, moments[i])
+            assert abs(got[i] - ref) <= 4 * np.spacing(abs(ref)), (N, t)
+    with pytest.raises(ExpansionDomainError, match=r"not finite at s=\[0\.01\]"):
+        moment_expansion(moment_coeffs(0.5, 200), ts, x(ts), xd(ts), moments)
+
+
 def test_moments_vp_closed_forms():
     assert moment_values(lambda t: 1.0, 2, 0.7, 0.0, 100)[0] == pytest.approx(-0.7, rel=1e-13)
     assert moment_values(lambda t: t, 2, 0.6, 0.0, 100)[0] == pytest.approx(-0.18, rel=1e-12)

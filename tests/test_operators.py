@@ -444,6 +444,18 @@ def test_rl_exp_exact_zero_rate():
             )
 
 
+def test_rl_exp_exact_array_is_elementwise():
+    t = np.linspace(0.05, 2.0, 12).reshape(3, 4)
+    d = rl_exp_exact(2.0, 0.3, t)
+    assert d.shape == t.shape
+    assert type(rl_exp_exact(2.0, 0.3, 0.5)) is float
+    expect = [[rl_exp_exact(2.0, 0.3, float(v)) for v in row] for row in t]
+    np.testing.assert_allclose(d, expect, rtol=1e-15, atol=0.0)
+    for bad in (0.0, -0.1, np.nan):
+        with pytest.raises(ValueError):
+            rl_exp_exact(2.0, 0.3, np.array([0.5, bad, 1.0]))
+
+
 def test_rl_exp_exact_golden():
     # t^(-1/2) E_{1,1/2}(2t) at t=1; series golden from the 200-term oracle
     assert rl_exp_exact(2.0, 0.5, 1.0) == pytest.approx(10.538428671807383, rel=1e-13)

@@ -1,9 +1,15 @@
 import math
+import sys
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fracvar.specfun import (
+    ML_RTOL,
     GammaPoleError,
     SeriesConvergenceError,
     gamma,
@@ -177,3 +183,122 @@ def test_stirling_function_matches_second_kind_integers():
             assert stirling_function(float(m), k) == pytest.approx(
                 _stirling2(m, k), abs=1e-10
             )
+
+
+# ---------------------------------------------------------------------------
+# Mittag-Leffler on arrays
+# ---------------------------------------------------------------------------
+
+#: Most negative z of each alpha's grid: E_{1,beta} sums to z = -5 for every
+#: beta below, E_{1/2,beta} to z = -2; a little further each one cancels.
+ML_GRID_LOW = {0.5: -2.0, 1.0: -5.0}
+
+
+def _ulps(a, b):
+    """|a - b| in units of the last place of b, entry by entry."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.abs(a - b) / np.spacing(np.abs(b))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.7, 1.0, 2.0])
+def test_mittag_leffler_array_matches_mpmath(alpha, beta):
+    z = np.linspace(ML_GRID_LOW[alpha], 4.0, 49)
+    got = mittag_leffler(alpha, beta, z)
+    ref = np.array([_ml_reference(alpha, beta, zi) for zi in z])
+    rel = np.abs(got - ref) / np.abs(ref)
+    # positive terms lose a few ulp; cancelling ones up to the guarded ML_RTOL
+    assert rel[z >= 0.0].max() <= 1e-14
+    assert rel[z < 0.0].max() <= ML_RTOL
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("beta", [0.3, 1.0, 2.0])
+def test_mittag_leffler_array_matches_scalar_calls(alpha, beta):
+    z = np.linspace(ML_GRID_LOW[alpha], 4.0, 37)
+    scalar = [mittag_leffler(alpha, beta, float(zi)) for zi in z]
+    assert _ulps(mittag_leffler(alpha, beta, z), scalar).max() <= 4
+
+
+def _ml_scalar_loop(alpha, beta, z):
+    """The series of ``mittag_leffler`` for one float z, term by term in
+    Python floats: its sum and its estimated rounding error."""
+    if z == 0.0:
+        return 1.0 / gamma(beta), 0.0
+    log_abs_z = math.log(abs(z))
+    total = rounding = 0.0
+    small_streak = 0
+    for j in range(10**5):
+        log_gamma = math.lgamma(alpha * j + beta)
+        term = math.exp(j * log_abs_z - log_gamma)
+        rounding += (abs(j * log_abs_z) + abs(log_gamma)) * term
+        if z < 0 and j % 2 == 1:
+            term = -term
+        total += term
+        small_streak = small_streak + 1 if abs(term) < 1e-16 * (1.0 + abs(total)) else 0
+        if small_streak >= 2:
+            return total, rounding * sys.float_info.epsilon
+    raise AssertionError("reference loop did not converge")
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.7, 1.0, 2.0])
+def test_mittag_leffler_array_matches_scalar_loop(alpha, beta):
+    # np.exp/np.log may round other than math.exp/math.log, so the sums may
+    # differ, but by no more than the two rounding estimates
+    z = np.linspace(ML_GRID_LOW[alpha], 4.0, 61)
+    got = mittag_leffler(alpha, beta, z)
+    for zi, g in zip(z.tolist(), got.tolist()):
+        ref, rounding = _ml_scalar_loop(alpha, beta, zi)
+        assert abs(g - ref) <= 2.0 * rounding + np.spacing(abs(ref)), zi
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    z=hnp.arrays(np.float64, st.integers(1, 12), elements=st.floats(-5.0, 4.0)),
+    beta=st.floats(0.0, 2.0, exclude_min=True),
+)
+def test_mittag_leffler_array_property(z, beta):
+    # each entry sums as it would alone: the array raises exactly when some
+    # entry raises alone, and otherwise agrees with the scalar calls
+    scalar = []
+    for zi in z:
+        try:
+            scalar.append(mittag_leffler(1.0, beta, float(zi)))
+        except (SeriesConvergenceError, GammaPoleError) as exc:
+            with pytest.raises(type(exc)):
+                mittag_leffler(1.0, beta, z)
+            return
+    assert _ulps(mittag_leffler(1.0, beta, z), scalar).max() <= 4
+
+
+def test_mittag_leffler_shapes():
+    value = mittag_leffler(1.0, 0.5, 0.5)
+    assert type(value) is float
+    assert type(mittag_leffler(1.0, 0.5, np.float64(0.5))) is float
+    assert type(mittag_leffler(1.0, 0.5, np.array(0.5))) is float
+    assert mittag_leffler(1.0, 0.5, np.array([0.5])).shape == (1,)
+    grid = np.array([[0.5, 0.0, -1.0], [2.0, 0.0, 3.0]])
+    got = mittag_leffler(1.0, 0.5, grid)
+    assert got.shape == (2, 3)
+    assert got[0, 0] == value
+    assert got[0, 1] == got[1, 1] == 1.0 / gamma(0.5)  # z = 0: the first term alone
+    assert mittag_leffler(1.0, 0.5, np.zeros(4)).tolist() == [1.0 / gamma(0.5)] * 4
+    assert mittag_leffler(1.0, 0.5, np.zeros(0)).shape == (0,)
+
+
+def test_mittag_leffler_array_error_names_the_entry():
+    with pytest.raises(SeriesConvergenceError, match=r"cancels .*z=-20\.0\)"):
+        mittag_leffler(1.0, 0.5, np.array([1.0, -20.0, 2.0]))
+    with pytest.raises(SeriesConvergenceError, match=r"overflow .*z=1000000000\.0\)"):
+        mittag_leffler(1.0, 1.0, np.array([0.5, 1e9]))
+    with pytest.raises(ValueError, match="must be finite.*nan"):
+        mittag_leffler(1.0, 1.0, np.array([0.5, math.nan, 1.0]))
+
+
+def test_mittag_leffler_rounding_estimate_past_float_range_raises():
+    # at z = 705 the terms stay finite but their rounding estimate does not;
+    # the float loop and the array kernel both raise, without a RuntimeWarning
+    for z in (705.0, np.array([1.0, 705.0])):
+        with pytest.raises(SeriesConvergenceError, match="cancels"):
+            mittag_leffler(1.0, 1.0, z)
