@@ -75,19 +75,18 @@ _FD_STEP = math.sqrt(_EPS)
 class LagrangianSpec:
     """Integrand L(t, x, xdot, dalpha) with its three partial derivatives.
 
-    All evaluators take the full argument tuple; Lagrangians that do not
-    depend on xdot simply ignore that slot and set ``uses_xdot=False`` so
-    the stationarity assembly skips the xdot chain terms (``solve_direct``
-    raises ValueError when dL_dxdot varies along its solution).
+    All evaluators take the full argument tuple, and the stationarity system
+    always carries all three partials; a Lagrangian that does not depend on
+    a slot simply ignores it (and returns zeros for its partial).
 
     ``dL_ddalpha_inverse(t, mu)``, optional, solves dL_ddalpha(t, ., ., D)
     = mu for D node by node, for an L of (t, dalpha) only that is convex in
-    dalpha.  With it, and ``uses_xdot=False``, Newton starts from the
-    minimizer in the reduced coordinates D^alpha x(t_i) (see solve_direct).
-    Nothing checks that L ignores x or that the inverse is right.  It only
-    places the start, so what Newton returns still passes its residual
-    test; but a wrong inverse, or one given for an L that also depends on
-    x, can cost iterations or raise ValueError (see solve_direct) or
+    dalpha.  With it, Newton starts from the minimizer in the reduced
+    coordinates D^alpha x(t_i) (see solve_direct).  Nothing checks that L
+    ignores x and xdot or that the inverse is right.  It only places the
+    start, so what Newton returns still passes its residual test; but a
+    wrong inverse, or one given for an L that also depends on x or xdot,
+    can cost iterations or raise ValueError (see solve_direct) or
     NewtonConvergenceError where the linear interpolant would converge.
     """
 
@@ -95,7 +94,6 @@ class LagrangianSpec:
     dL_dx: Callable
     dL_dxdot: Callable
     dL_ddalpha: Callable
-    uses_xdot: bool = False
     dL_ddalpha_inverse: Optional[Callable] = None
 
 
@@ -127,8 +125,8 @@ class StationaritySystem:
     its kind, "structured" or "dense", and whether its matrix floors L_DD
     (see solve_direct); ``psi`` is the discretized functional, the floored
     step's second merit.  ``start()``, present when the Lagrangian supplies
-    ``dL_ddalpha_inverse`` and does not use xdot, returns the interior values
-    of the reduced-coordinate minimizer (see solve_direct).
+    ``dL_ddalpha_inverse``, returns the interior values of the
+    reduced-coordinate minimizer (see solve_direct).
     """
 
     n: int
@@ -143,13 +141,12 @@ def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
     Newton step and Psi:
 
         r_i = dL/dx(t_i) + h^(-alpha) sum_{k=0..n-i} w_k dL/dD(t_{i+k})
-              + (1/h) [dL/dxdot(t_i) - dL/dxdot(t_{i+1})]    (xdot terms
-              present only when the Lagrangian uses xdot)
+              + (1/h) [dL/dxdot(t_i) - dL/dxdot(t_{i+1})]
 
     i.e. (G^T dL/dD)_i + dL/dx_i + ..., each partial evaluated once on the
     node arrays, G x and G^T dL/dD by convolution.  The Newton matrix is
     J = sum_ab A_a^T diag(H_ab) A_b over the slots a, b of L that the unknowns
-    enter (x, D^alpha and, when L uses it, xdot): H_ab are the nodewise second
+    enter (x, D^alpha and xdot): H_ab are the nodewise second
     partials of L, and A maps the interior values to a slot at nodes 1..n
     (the interior identity, G, or the backward difference / h).
 
@@ -171,9 +168,9 @@ def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
     inverse = _LowerToeplitz(_binomial_weights(-problem.alpha, n - 2))
     # L^-T u for u^T, row n of G on the interior nodes
     inv_t_u = inverse.rmatvec(w[n - 1 : 0 : -1])
-    # x, D^alpha (, xdot): their slots in the (t, x, xdot, D) state, their partials
-    slots = (1, 3, 2) if lag.uses_xdot else (1, 3)
-    partials = (lag.dL_dx, lag.dL_ddalpha, lag.dL_dxdot)[: len(slots)]
+    # x, D^alpha, xdot: their slots in the (t, x, xdot, D) state, their partials
+    slots = (1, 3, 2)
+    partials = (lag.dL_dx, lag.dL_ddalpha, lag.dL_dxdot)
 
     def state_at(interior) -> tuple:
         """(t, x, xdot, D^alpha x) at nodes 1..n for the interior values."""
@@ -190,9 +187,8 @@ def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
         state = state_at(interior)
         r = conv.rmatvec(_eval_on(lag.dL_ddalpha, *state))[:-1] / h_alpha
         r += _eval_on(lag.dL_dx, *state)[: n - 1]
-        if lag.uses_xdot:
-            p = _eval_on(lag.dL_dxdot, *state)
-            r += (p[:-1] - p[1:]) / mesh.h
+        p = _eval_on(lag.dL_dxdot, *state)
+        r += (p[:-1] - p[1:]) / mesh.h
         return r
 
     def second_partials(interior, unit: bool) -> np.ndarray:
@@ -232,7 +228,7 @@ def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
         floored = not affine and mean > 0.0 and l_dd.min() >= 0.0
         if floored:
             l_dd[:] = np.maximum(l_dd, STRUCTURED_FLOOR * mean)
-        if floored and not lag.uses_xdot and np.count_nonzero(H) == np.count_nonzero(l_dd):
+        if floored and np.count_nonzero(H) == np.count_nonzero(l_dd):
             # (L^T Lam L + lam_n u u^T) s = -r, with L (rows and columns 1..n-1
             # of G) inverted exactly by h^alpha T(w(-alpha)) and row n (u^T)
             # entering by Sherman-Morrison: s = L^-1 Lam^-1 (a - c q) with
@@ -291,7 +287,7 @@ def stationarity(problem: DirectProblem, n: int) -> StationaritySystem:
             )
         return interior
 
-    reduced = lag.dL_ddalpha_inverse is not None and not lag.uses_xdot
+    reduced = lag.dL_ddalpha_inverse is not None
     return StationaritySystem(n, residual, step, psi, start if reduced else None)
 
 
@@ -351,8 +347,8 @@ def solve_direct(
     below ``newton_tol``, with probe steps sqrt(eps) (1 + |v|).
 
     Newton starts from the linear interpolant of the boundary values, or,
-    when the Lagrangian supplies ``dL_ddalpha_inverse`` and does not use
-    xdot (an L of t and D^alpha x only, convex in D), from the
+    when the Lagrangian supplies ``dL_ddalpha_inverse`` (an L of t and
+    D^alpha x only, convex in D), from the
     reduced-coordinate minimizer.  Its unknowns are y = D_1..D_{n-1}: with
     q = L^-T u (L: rows and columns 1..n-1 of h^alpha G, u^T: its row n on
     the interior), the end value is D_n = z = c + q.y, with c = h^-alpha
@@ -361,7 +357,7 @@ def solve_direct(
     one scalar equation, c + q.y(z) - z = 0, decreasing in z for convex L,
     with a sign change between Dinv(t_n, 0) and c + q.Dinv(t_i, 0); a
     bracket without one, which a wrong inverse or an L not convex in D or
-    also of x can leave, raises :class:`ValueError`.  A safeguarded regula
+    also of x or xdot can leave, raises :class:`ValueError`.  A safeguarded regula
     falsi solves it, and the start is x_int = L^-1 (h^alpha y - w_{1..n-1}
     x_a), one product with h^alpha T(w(-alpha)).  The start logs one DEBUG
     record on ``fracvar.direct``: n, the root iterations, z and the start's
@@ -374,9 +370,8 @@ def solve_direct(
     at STRUCTURED_FLOOR * mean(L_DD), and J is solved by one of two steps,
     chosen at every iterate from the second partials there:
 
-    * structured, when ``uses_xdot`` is false and L_DD is the only nonzero
-      second partial.  J is then G^T diag(L_DD) G, solved exactly in
-      O(n log n);
+    * structured, when L_DD is floored and is the only nonzero second
+      partial.  J is then G^T diag(L_DD) G, solved exactly in O(n log n);
     * dense otherwise: J assembled with a dense G and solved densely.
 
     A damped trial of a floored step is accepted when it lowers the residual
@@ -388,8 +383,7 @@ def solve_direct(
     record on the ``fracvar.direct`` logger: n, the iteration, the residual
     norm, the damping and the step kind.  A ``newton_tol`` that is not
     finite and positive raises :class:`ValueError`, whether or not
-    ``linear`` reads it, and so does a solution at which dL_dxdot, evaluated
-    once there, varies between nodes although ``uses_xdot`` is false.
+    ``linear`` reads it.
     """
     if not 0.0 < newton_tol < math.inf:
         raise ValueError(f"newton_tol must be finite and > 0, got {newton_tol!r}")
@@ -409,19 +403,7 @@ def solve_direct(
     x[0] = problem.x_a
     x[-1] = problem.x_b
     x[1:-1] = interior
-    if not problem.lagrangian.uses_xdot:
-        _check_xdot_unused(problem, mesh, x)
     return SampledCurve(mesh, x)
-
-
-def _check_xdot_unused(problem: DirectProblem, mesh: Mesh, x: np.ndarray) -> None:
-    """Raise ValueError unless p = dL/dxdot at the solution x (nodes 0..n) is equal at
-    nodes 1..n, so that the dropped x' term (p_i - p_{i+1}) / h is exactly zero."""
-    d = _LowerToeplitz(_binomial_weights(problem.alpha, mesh.n)).matvec(x)[1:]
-    state = (mesh.nodes()[1:], x[1:], np.diff(x) / mesh.h, d / mesh.h**problem.alpha)
-    p = _eval_on(problem.lagrangian.dL_dxdot, *state)
-    if np.any(p[:-1] != p[1:]):
-        raise ValueError("dL_dxdot varies along the solution, but uses_xdot=False drops it")
 
 
 def _newton(
@@ -489,7 +471,6 @@ def example1_problem() -> DirectProblem:
         dL_dx=lambda t, x, xd, d: 0.0 * d,
         dL_dxdot=lambda t, x, xd, d: 0.0 * d,
         dL_ddalpha=lambda t, x, xd, d: 2.0 * (d - _f1(t)),
-        uses_xdot=False,
     )
     return DirectProblem(0.0, 1.0, 0.0, 1.0, 0.5, lag)
 
@@ -502,7 +483,6 @@ def example2_problem(alpha: float = 0.5) -> DirectProblem:
         dL_dx=lambda t, x, xd, d: 0.0 * d,
         dL_dxdot=lambda t, x, xd, d: -2.0 * xd,
         dL_ddalpha=lambda t, x, xd, d: 1.0 + 0.0 * d,
-        uses_xdot=True,
     )
     return DirectProblem(0.0, 1.0, 0.0, 1.0, alpha, lag)
 
@@ -553,7 +533,6 @@ def example3_problem() -> DirectProblem:
         dL_dx=lambda t, x, xd, d: 0.0 * d,
         dL_dxdot=lambda t, x, xd, d: 0.0 * d,
         dL_ddalpha=_example3_dL_ddalpha,
-        uses_xdot=False,
         dL_ddalpha_inverse=_example3_dL_ddalpha_inverse,
     )
     return DirectProblem(0.0, 1.0, 0.0, 1.0, 0.5, lag)

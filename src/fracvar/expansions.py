@@ -82,27 +82,36 @@ def moment_coeffs(alpha: float, N: int) -> MomentCoeffs:
     """Coefficient triple (A, B, {C_p}) for the RL moment expansion.
 
     Gamma ratios are formed in log space so large N (Table-sized, N ~ 200)
-    cannot overflow.
+    cannot overflow.  B and C never take Gamma(alpha - 1) at the rounded
+    alpha - 1, nor 1 + sum over p >= 1, which both lose digits like eps /
+    alpha^2 as alpha -> 0: with 1 / Gamma(alpha - 1) = alpha (alpha - 1) /
+    Gamma(alpha + 1) the p = 1 term of B is exactly alpha - 1, so
+
+        B = alpha [1 + (alpha - 1) sum_{p=2..N} Gamma(p - 1 + alpha) /
+                   (Gamma(alpha + 1) p!)] / Gamma(2 - alpha),
+        C_p = alpha (alpha - 1) Gamma(p - 1 + alpha) /
+              (Gamma(2 - alpha) Gamma(alpha + 1) (p - 1)!).
     """
     _check_alpha(alpha)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     g_alpha = gamma(alpha)
-    g_alpham1 = gamma(alpha - 1.0)
+    g_alphap1 = gamma(alpha + 1.0)
+    g_2malpha = gamma(2.0 - alpha)
     a_sum = sum(
         math.exp(math.lgamma(p - 1.0 + alpha) - math.lgamma(p)) / g_alpha
         for p in range(2, N + 1)
     )
     b_sum = sum(
-        math.exp(math.lgamma(p - 1.0 + alpha) - math.lgamma(p + 1.0)) / g_alpham1
-        for p in range(1, N + 1)
+        math.exp(math.lgamma(p - 1.0 + alpha) - math.lgamma(p + 1.0)) / g_alphap1
+        for p in range(2, N + 1)
     )
     A = (1.0 + a_sum) / gamma(1.0 - alpha)
-    B = (1.0 + b_sum) / gamma(2.0 - alpha)
+    B = alpha * (1.0 + (alpha - 1.0) * b_sum) / g_2malpha
     C = np.array(
         [
-            math.exp(math.lgamma(p - 1.0 + alpha) - math.lgamma(p))
-            / (gamma(2.0 - alpha) * g_alpham1)
+            alpha * (alpha - 1.0) * math.exp(math.lgamma(p - 1.0 + alpha) - math.lgamma(p))
+            / (g_2malpha * g_alphap1)
             for p in range(2, N + 1)
         ]
     )

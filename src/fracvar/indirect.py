@@ -84,9 +84,6 @@ def _example2_moment_terms(alpha: float, N: int) -> tuple:
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
     coeffs = moment_coeffs(alpha, N)
-    for p in range(2, N + 1):
-        if abs(2.0 - p - alpha) < 1e-12:
-            raise ZeroDivisionError(f"degenerate denominator 2-p-alpha at p={p}")
     corr = sum(
         coeffs.c(p) * (1.0 - p) / ((1.0 - alpha) * (2.0 - p - alpha)) for p in range(2, N + 1)
     )

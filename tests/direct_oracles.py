@@ -111,8 +111,7 @@ def example3_residual(xvec: np.ndarray, n: int) -> np.ndarray:
 def euler_lagrange_residual(curve: SampledCurve, problem: DirectProblem) -> SampledCurve:
     """Node-wise fractional Euler-Lagrange residual of a curve:
 
-        dL/dx + D_b^alpha [dL/dD]  (- d/dt dL/dxdot when the Lagrangian
-        uses xdot),
+        dL/dx + D_b^alpha [dL/dD] - d/dt dL/dxdot,
 
     with the left GL operator inside the partials, the right GL operator
     applied to the sampled dL/dD curve, and central differences for the
@@ -128,6 +127,5 @@ def euler_lagrange_residual(curve: SampledCurve, problem: DirectProblem) -> Samp
     state = (t, x, xdot, gl_left_all(curve, problem.alpha))
     dLdD = SampledCurve(curve.mesh, _eval_on(lag.dL_ddalpha, *state))
     res = gl_right_all(dLdD, problem.alpha) + _eval_on(lag.dL_dx, *state)
-    if lag.uses_xdot:
-        res -= np.gradient(_eval_on(lag.dL_dxdot, *state), h)
+    res -= np.gradient(_eval_on(lag.dL_dxdot, *state), h)
     return SampledCurve(curve.mesh, res)

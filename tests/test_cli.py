@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -43,6 +44,22 @@ def test_table_b_default_grid(tmp_path):
     table = {(float(a), int(n)): float(b) for a, n, b in rows}
     assert round(table[(0.5, 4)], 4) == 0.3085
     assert round(table[(0.99, 170)], 4) == 0.9498
+
+
+def test_table_b_small_alpha_matches_mpmath(tmp_path):
+    # B(1e-8, 4) used to print -2.52e-9 (exit 0): Gamma(alpha - 1) at the
+    # rounded alpha - 1, and 1 + sum cancelling
+    out = tmp_path / "tb.csv"
+    assert run(["table-b", "--alpha", "1e-8", "--N", "4", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 1
+    with mpmath.workdps(50):
+        a = mpmath.mpf(1e-8)
+        terms = sum(mpmath.gamma(p - 1 + a) / mpmath.factorial(p) for p in range(1, 5))
+        exact = float((1 + terms / mpmath.gamma(a - 1)) / mpmath.gamma(2 - a))
+    B = float(rows[0][2])
+    assert B > 0.0
+    assert abs(B - exact) <= 1e-13 * exact
 
 
 def test_output_is_deterministic(tmp_path):
@@ -899,19 +916,29 @@ ALPHA_EDGE_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("alpha", ["1e-15", repr(1.0 - 1e-15)])
+# the one failure each alpha may record: gamma raises GammaPoleError within
+# 1e-14 of its poles, which Gamma(alpha) and Gamma(1 - alpha) reach; at 1e-13
+# B ~ alpha / N enters ex4-moment's collocation matrix as B^-2 >= 4e26, which
+# the refinement estimate rejects
+ALPHA_EDGE_FAILURE = {
+    "1e-15": "gamma pole",
+    "1e-13": "collocation solve unreliable",
+    repr(1.0 - 1e-15): "gamma pole",
+}
+
+
+@pytest.mark.parametrize("alpha", list(ALPHA_EDGE_FAILURE))
 @pytest.mark.parametrize("argv", ALPHA_EDGE_RUNS, ids=" ".join)
 def test_alpha_next_to_a_gamma_pole_exits_0_or_2(tmp_path, capsys, argv, alpha):
-    # gamma raises GammaPoleError within 1e-14 of its poles, which Gamma(alpha),
-    # Gamma(alpha - 1) and Gamma(1 - alpha) reach here: a failure record, not
-    # a traceback
+    # a failure record, not a traceback
     out = tmp_path / "edge.csv"
     code = run([*argv, "--alpha", alpha, "--out", str(out)])
     err = capsys.readouterr().err
     assert code in (0, 2)
     if code == 2:
         failures = json.loads(err.strip().splitlines()[-1])
-        assert failures and all("gamma pole" in f["error"] for f in failures)
+        expected = ALPHA_EDGE_FAILURE[alpha]
+        assert failures and all(expected in f["error"] for f in failures)
     assert out.exists()
 
 

@@ -172,8 +172,7 @@ def loop_residual(problem, n, interior):
     for i in range(1, n):
         gl_sum = float(np.dot(w[: n - i + 1], dLdD[i:]))
         r[i - 1] = lag.dL_dx(*args[i]) + gl_sum / h**problem.alpha
-        if lag.uses_xdot:
-            r[i - 1] += (lag.dL_dxdot(*args[i]) - lag.dL_dxdot(*args[i + 1])) / h
+        r[i - 1] += (lag.dL_dxdot(*args[i]) - lag.dL_dxdot(*args[i + 1])) / h
     return r
 
 
@@ -601,7 +600,6 @@ COUPLED = {
         dL_dx=lambda t, x, xd, d: 0.0 * d,
         dL_dxdot=lambda t, x, xd, d: 2.0 * xd,
         dL_ddalpha=lambda t, x, xd, d: 4.0 * (d - _target(t)) ** 3,
-        uses_xdot=True,
     ),
 }
 
@@ -609,6 +607,18 @@ COUPLED = {
 PROBLEMS = {name: problem for name, (problem, _) in CATALOG.items()} | {
     name: DirectProblem(0.0, 1.0, 0.0, 1.0, 0.5, lag) for name, lag in COUPLED.items()
 }
+
+
+def with_xdot(problem, eps=1e-30):
+    """The problem with eps (x')^2 added to L: a real but negligible x'
+    coupling, so that every Newton step is dense."""
+    lag = problem.lagrangian
+    coupled = dataclasses.replace(
+        lag,
+        L=lambda t, x, xd, d: lag.L(t, x, xd, d) + eps * xd * xd,
+        dL_dxdot=lambda t, x, xd, d: lag.dL_dxdot(t, x, xd, d) + 2.0 * eps * xd,
+    )
+    return dataclasses.replace(problem, lagrangian=coupled)
 
 
 def floor_term(problem, n, interior):
@@ -639,9 +649,8 @@ def floor_term(problem, n, interior):
 @pytest.mark.parametrize("n", [2, 3, 12, 40])
 def test_dense_step_matches_loop_jacobian(name, n):
     problem = PROBLEMS[name]
-    # a Lagrangian that declares xdot always takes the dense step
-    lag = dataclasses.replace(problem.lagrangian, uses_xdot=True)
-    system = stationarity(dataclasses.replace(problem, lagrangian=lag), n)
+    # a Lagrangian coupled through x' always takes the dense step
+    system = stationarity(with_xdot(problem), n)
     x = np.random.default_rng(7 * n).uniform(-1.0, 2.0, n - 1)
     r = system.residual(x)
     step, kind, floored = system.step(x, r)
@@ -690,8 +699,7 @@ def test_solve_direct_is_one_newton_run_from_linear_interpolant(name, monkeypatc
 def test_floored_dense_step_converges_within_default_budget(n, caplog):
     # without the floor, the dense step from the linear interpolant stops at
     # n = 164 after 50 iterations with the residual at 1.2e-3
-    lag = dataclasses.replace(example3_problem().lagrangian, uses_xdot=True)
-    problem = dataclasses.replace(example3_problem(), lagrangian=lag)
+    problem = with_xdot(without_inverse(example3_problem()))
     with caplog.at_level(logging.DEBUG, logger="fracvar.direct"):
         curve = solve_direct(problem, n)
     steps = newton_steps(caplog)
@@ -701,10 +709,10 @@ def test_floored_dense_step_converges_within_default_budget(n, caplog):
 
 
 @pytest.mark.parametrize("linear", [False, True])
-def test_solve_direct_rejects_xdot_dependence_it_drops(linear):
-    # with uses_xdot=False the xdot Lagrangian used to return x(0.5) = 0.2495
-    # (0.4898 with uses_xdot=True), a point that does not even minimize Psi
-    lag = dataclasses.replace(COUPLED["xdot"], uses_xdot=False)
+def test_solve_direct_keeps_xdot_dependence(linear):
+    # dropping the x' term of the xdot Lagrangian returns x(0.5) = 0.2495
+    # (0.4898 with it), a point that does not even minimize Psi
+    lag = COUPLED["xdot"]
     if linear:  # a quadratic variant, so the affine check passes
         lag = dataclasses.replace(
             lag,
@@ -712,10 +720,7 @@ def test_solve_direct_rejects_xdot_dependence_it_drops(linear):
             dL_ddalpha=lambda t, x, xd, d: 2.0 * (d - _target(t)),
         )
     problem = DirectProblem(0.0, 1.0, 0.0, 1.0, 0.5, lag)
-    with pytest.raises(ValueError, match="uses_xdot"):
-        solve_direct(problem, 40, linear=linear)
-    declared = DirectProblem(0.0, 1.0, 0.0, 1.0, 0.5, dataclasses.replace(lag, uses_xdot=True))
-    assert solve_direct(declared, 40, linear=linear).values[20] > 0.4
+    assert solve_direct(problem, 40, linear=linear).values[20] > 0.4
 
 
 def test_newton_logs_one_record_per_iteration(caplog):

@@ -85,6 +85,33 @@ def test_moment_coeffs_series_bookkeeping():
             assert abs(hi.B - b_term - lo.B) <= 1e-13 * max(1.0, abs(lo.B))
 
 
+def mp_moment_coeffs(alpha, N):
+    """(A, B, [C_2..C_N]) at 50 digits from the defining sums, Gamma(alpha - 1)
+    included."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        g = [mpmath.gamma(p - 1 + a) for p in range(1, N + 1)]  # Gamma(p - 1 + alpha)
+        A = 1 + sum(g[p - 1] / mpmath.factorial(p - 1) for p in range(2, N + 1)) / mpmath.gamma(a)
+        B = 1 + sum(g[p - 1] / mpmath.factorial(p) for p in range(1, N + 1)) / mpmath.gamma(a - 1)
+        c = mpmath.gamma(2 - a) * mpmath.gamma(a - 1)
+        C = [g[p - 1] / (mpmath.factorial(p - 1) * c) for p in range(2, N + 1)]
+        return A / mpmath.gamma(1 - a), B / mpmath.gamma(2 - a), C
+
+
+@pytest.mark.parametrize("alpha", [1e-13, 1e-8, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+def test_moment_coeffs_match_mpmath_down_to_small_alpha(alpha):
+    # Gamma(alpha - 1) at the rounded alpha - 1 and 1 + sum cancelling lost B
+    # and C like eps / alpha^2: B(1e-8, 4) came out -2.52e-9 for +2.50e-9
+    for N in (1, 4, 7, 15, 30, 70, 120, 170):
+        got = moment_coeffs(alpha, N)
+        A, B, C = mp_moment_coeffs(alpha, N)
+        assert abs(got.A - A) <= 1e-13 * abs(A), N
+        assert abs(got.B - B) <= 1e-13 * abs(B), N
+        assert len(got.C) == len(C)
+        for p, (value, ref) in enumerate(zip(got.C, C), 2):
+            assert abs(value - ref) <= 5e-13 * abs(ref), (N, p)
+
+
 def hadamard_normalized_coeffs(alpha, N):
     """(A, B, C) of the Hadamard moment expansion from its own normalization:
     C[p] = Gamma(p+alpha-1) / (Gamma(-alpha) Gamma(1+alpha) (p-1)!), and the
