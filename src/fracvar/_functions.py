@@ -4,9 +4,8 @@ Each entry carries the function, its first derivative, an analytic
 derivative bundle for the integer-order expansions, exact fractional
 derivatives where closed forms exist, and the envelope functions feeding
 the truncation-error bounds.  The exact derivatives and envelopes take t
-as a scalar or an array, except the two that need a per-node quadrature
-or check (exp2t's Hadamard reference, lnt's), which the CLI evaluates
-node by node.
+as a scalar or an array, except exp2t's Hadamard reference, a per-node
+quadrature, which the CLI evaluates node by node.
 """
 
 import math

@@ -66,8 +66,9 @@ from .specfun import GammaPoleError, SeriesConvergenceError
 TABLE_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
 TABLE_NS = (4, 7, 15, 30, 70, 120, 170)
 
-#: Absolute slack on the dominance flag, absorbing quadrature and roundoff
-#: where the analytic bound is zero or near machine scale.
+#: Absolute slack on the dominance flag, absorbing the roundoff of the
+#: expansion, its moments and the exact value where the analytic bound is
+#: zero or near machine scale.
 DOMINANCE_SLACK = 1e-8
 
 EXPANSION_METHODS = ("integer", "moment", "atanackovic", "hadamard-moment")
@@ -205,22 +206,23 @@ def _eval_grid(a: float, b: float, points: int) -> np.ndarray:
     return np.linspace(a, b, points + 1)[1:]  # expansions are singular at a
 
 
-def _expansion_sweep(func, method, exact, alpha, a, grid, Ns, quad_n):
+def _expansion_sweep(func, method, exact, alpha, a, grid, Ns):
     """Expansion approximations at each grid point for each N of a sweep.
 
     Two rules drop points.  The shared part is computed once: the exact
-    column in one array call, and on the moment routes each point's s, x(t)
-    and dx/ds and its moments at max(Ns).  It stops before the first point
-    that raised a numerical error (when the exact column raises, it is
-    evaluated point by point to find that point), and that error is reported
-    for every N.  Each N then evaluates its formula on the shared points,
-    the moment routes in one array call on the moment prefix that N uses;
-    a point where the result is not finite is dropped from that N alone, and
-    its error names the dropped t values.  Yields (N, t, approx, exact,
-    error) in sweep order, with the error that dropped points (or None).
-    When the order-N part (its coefficients) raises, N yields empty arrays
-    and that error.  An integer order beyond the function's derivative
-    bundle is a usage error.
+    column in one array call, and on the moment routes s, x(t), dx/ds and
+    the moments at max(Ns), one array call each.  It stops before the first
+    point where the exact value raised a numerical error (when the exact
+    column raises, it is evaluated point by point to find that point), and
+    that error is reported for every N; a numerical error on the moment
+    side (no catalog function raises one) fails every N.  Each N then
+    evaluates its formula on the shared points, the moment routes in one
+    array call on the moment prefix that N uses; a point where the result
+    is not finite is dropped from that N alone, and its error names the
+    dropped t values.  Yields (N, t, approx, exact, error) in sweep order,
+    with the error that dropped points (or None).  When the order-N part
+    (its coefficients) raises, N yields empty arrays and that error.  An
+    integer order beyond the function's derivative bundle is a usage error.
     """
     N_max = max(Ns)
     if method == "integer" and N_max > func.bundle.order:
@@ -228,28 +230,17 @@ def _expansion_sweep(func, method, exact, alpha, a, grid, Ns, quad_n):
             f"integer method on {func.name!r} needs N <= {func.bundle.order}, got {N_max}"
         )
     exacts, error = _exact_prefix(exact, grid)
+    ts = grid[: len(exacts)]
     if method != "integer":
         hadamard = method in _HADAMARD_METHODS
         xdot = None if method == "atanackovic" else func.xdot
-        points, moments = [], []
-        # one point past the exact prefix: where both raise, the moment error is reported
-        for t in grid[: len(exacts) + 1]:
-            try:
-                point = expansions._moment_point(func.x, xdot, t, a, right=False, hadamard=hadamard)
-                values = expansions.moment_values(func.x, N_max, t, a, quad_n,
-                                                  hadamard=hadamard)
-            except NUMERICAL_ERRORS as exc:
-                error = exc
-                break
-            points.append(point)
-            moments.append(values)
-        n = min(len(points), len(exacts))
-        exacts, points = exacts[:n], points[:n]
-        s = np.array([p[0] for p in points], dtype=float)
-        x = np.array([p[1] for p in points], dtype=float)
-        xs = None if xdot is None else np.array([p[2] for p in points], dtype=float)
-        moments = np.array(moments[:n], dtype=float).reshape(n, N_max - 1)
-    ts = grid[: len(exacts)]
+        try:
+            s, x, xs = expansions._moment_point(func.x, xdot, ts, a, right=False, hadamard=hadamard)
+            moments = expansions.moment_values(func.x, N_max, ts, a, hadamard=hadamard)
+        except NUMERICAL_ERRORS as exc:
+            for N in Ns:
+                yield N, ts[:0], exacts[:0], exacts[:0], exc
+            return
     for N in Ns:
         try:
             if method == "integer":
@@ -336,8 +327,7 @@ def cmd_derivative(opts: _Options) -> tuple:
 
     blocks, failures = [], []
     if method in EXPANSION_METHODS:
-        unused = ["n", "quad-n"] if method == "integer" else ["n"]
-        _reject_unused(opts, f"method {method!r}", unused)
+        _reject_unused(opts, f"method {method!r}", ["n"])
         sweep = opts.get("N", [1, 2, 3])
         if not sweep:
             raise UsageError("derivative needs a nonempty N list")
@@ -347,15 +337,14 @@ def cmd_derivative(opts: _Options) -> tuple:
         elif any(N < 1 for N in sweep):
             raise UsageError(f"method {method!r} needs N >= 1")
         grid = _eval_grid(a, b, _at_least_one(opts, "points", 100))
-        quad_n = None if method == "integer" else _at_least_one(opts, "quad-n", 2000)
-        study = _expansion_sweep(func, method, exact, alpha, a, grid, sweep, quad_n)
+        study = _expansion_sweep(func, method, exact, alpha, a, grid, sweep)
         for N, t, approx, ex, exc in study:
             blocks.append((np.full(len(t), N), t, ex, approx, np.abs(approx - ex)))
             if exc is not None:
                 failures.append({"run": f"{method}:{fname}:N={N}", "error": str(exc)})
         header = ("N", "t", "exact", "approx", "abs_error")
     else:
-        _reject_unused(opts, f"method {method!r}", ["N", "points", "quad-n"])
+        _reject_unused(opts, f"method {method!r}", ["N", "points"])
         sweep = opts.get("n", [100])
         if not sweep:
             raise UsageError("derivative needs a nonempty n list")
@@ -506,16 +495,13 @@ def cmd_bounds(opts: _Options) -> tuple:
     a, b, exact = _reference(func, method, alpha)
 
     grid = _eval_grid(a, b, _at_least_one(opts, "points", 20))
-    if method == "integer":
-        _reject_unused(opts, f"method {method!r}", ["quad-n"])
-    quad_n = None if method == "integer" else _at_least_one(opts, "quad-n", 20000)
     bound = {
         "integer": lambda N, t: expansions.bound_integer(func.integer_m(N, t), alpha, N, t, a),
         "moment": lambda N, t: expansions.bound_moment(func.moment_l2(t), alpha, N, t, a),
         "hadamard": lambda N, t: expansions.bound_hadamard(func.hadamard_lmax(t), alpha, N, t, a),
     }[method]
     blocks, failures = [], []
-    for N, t, approx, ex, exc in _expansion_sweep(func, method, exact, alpha, a, grid, Ns, quad_n):
+    for N, t, approx, ex, exc in _expansion_sweep(func, method, exact, alpha, a, grid, Ns):
         run = f"bounds:{method}:{fname}:N={N}"
         try:
             bounds = expansions._eval_on(lambda ti: bound(N, ti), t)
@@ -571,7 +557,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name in ("derivative", "bounds"):
             add("--function", help="test function id")
             add("--method", help="approximation method id")
-            add("--quad-n", type=int, help="moment quadrature panels")
             add("--points", type=int, help="evaluation grid size")
         if name in ("direct", "indirect"):
             add("--example", help="catalog example id")

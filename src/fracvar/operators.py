@@ -246,15 +246,17 @@ def rl_exp_exact(lam: float, alpha: float, t):
     return t ** (-alpha) * mittag_leffler(1.0, 1.0 - alpha, lam * t)
 
 
-def hadamard_logpow_exact(beta: float, alpha: float, t: float) -> float:
+def hadamard_logpow_exact(beta: float, alpha: float, t):
     """Exact left Hadamard derivative (terminal a = 1) of (ln t)^beta:
 
         Gamma(beta+1)/Gamma(beta+1-alpha) * (ln t)^(beta-alpha),  t > 1.
+
+    ``t`` may be a scalar or an array (evaluated elementwise).
     """
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta!r}")
-    if not t > 1.0:
-        raise ValueError(f"need t > 1, got {t!r}")
+    if not np.all(np.greater(t, 1.0)):
+        raise ValueError(f"need t > 1 at every node, got min t={np.min(t)!r}")
     lt = np.log(t)
     return gamma(beta + 1.0) / gamma(beta + 1.0 - alpha) * lt ** (beta - alpha)
 

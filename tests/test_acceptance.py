@@ -209,14 +209,12 @@ def test_criterion_05_bound_dominance():
             lambda t: 1.0 / t,
             lnt_hadamard_exact,
             lambda t: 0.0,
-            20000,
         ),
         "t4": (
             lambda t: t**4,
             lambda t: 4.0 * t**3,
             t4_hadamard_exact,
             lambda t: 16.0 * t**3,
-            4000,
         ),
     }
     with criterion(5, "truncation bounds dominate on the full matrix", budget=10.0):
@@ -231,18 +229,18 @@ def test_criterion_05_bound_dominance():
                         assert err <= bound_integer(m_env(N, t), alpha, N, t, 0.0) + SLACK, (
                             "integer", name, alpha, N, t,
                         )
-                        err = abs(expand_moment(x, xd, coeffs, t, 0.0, 4000) - ex)
+                        err = abs(expand_moment(x, xd, coeffs, t, 0.0) - ex)
                         assert err <= bound_moment(l2_env(t), alpha, N, t, 0.0) + SLACK, (
                             "moment", name, alpha, N, t,
                         )
         hgrid = np.linspace(1.0, 2.0, 21)[1:]
-        for name, (x, xd, exact, lmax_env, quad_n) in had_cases.items():
+        for name, (x, xd, exact, lmax_env) in had_cases.items():
             for alpha in (0.3, 0.5, 0.7):
                 for N in range(2, 11):
                     hc = moment_coeffs(alpha, N)
                     for t in hgrid:
                         err = abs(
-                            expand_moment(x, xd, hc, t, 1.0, quad_n, hadamard=True)
+                            expand_moment(x, xd, hc, t, 1.0, hadamard=True)
                             - exact(alpha, t)
                         )
                         assert err <= bound_hadamard(lmax_env(t), alpha, N, t, 1.0) + SLACK, (
@@ -383,9 +381,9 @@ def test_criterion_12_property_suites():
             a, b = rng.uniform(-2.0, 2.0, 2)
             combo = lambda t: a * f(t) + b * g(t)
             combo_d = lambda t: a * fd(t) + b * gd(t)
-            lhs = expand_moment(combo, combo_d, coeffs, 0.8, 0.0, 2000)
-            rhs = a * expand_moment(f, fd, coeffs, 0.8, 0.0, 2000)
-            rhs += b * expand_moment(g, gd, coeffs, 0.8, 0.0, 2000)
+            lhs = expand_moment(combo, combo_d, coeffs, 0.8, 0.0)
+            rhs = a * expand_moment(f, fd, coeffs, 0.8, 0.0)
+            rhs += b * expand_moment(g, gd, coeffs, 0.8, 0.0)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
         # gradient consistency of the direct discretization
         for problem in (example1_problem(), example2_problem(), example3_problem()):

@@ -65,7 +65,7 @@ def test_table_b_small_alpha_matches_mpmath(tmp_path):
 def test_output_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["derivative", "--function", "t4", "--method", "moment", "--N", "2", "3",
-            "--points", "20", "--quad-n", "500"]
+            "--points", "20"]
     assert run(args + ["--out", str(out1)]) == 0
     assert run(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -87,7 +87,7 @@ def test_derivative_moment_error_decreases_in_n(tmp_path):
     out = tmp_path / "d.csv"
     assert run([
         "derivative", "--function", "t4", "--method", "moment",
-        "--N", "1", "2", "3", "--points", "10", "--quad-n", "2000",
+        "--N", "1", "2", "3", "--points", "10",
         "--out", str(out),
     ]) == 0
     _, rows = read_csv(out)
@@ -101,7 +101,7 @@ def test_derivative_atanackovic_worse_than_moment(tmp_path):
         out = tmp_path / f"{method}.csv"
         assert run([
             "derivative", "--function", "exp2t", "--method", method,
-            "--N", "3", "--points", "20", "--quad-n", "2000", "--out", str(out),
+            "--N", "3", "--points", "20", "--out", str(out),
         ]) == 0
         _, rows = read_csv(out)
         errs[method] = max(float(r[4]) for r in rows)
@@ -215,7 +215,7 @@ def test_bounds_dominated_flags(tmp_path):
     out = tmp_path / "b.csv"
     assert run([
         "bounds", "--function", "exp2t", "--method", "moment", "--N", "10",
-        "--points", "10", "--quad-n", "4000", "--out", str(out),
+        "--points", "10", "--out", str(out),
     ]) == 0
     header, rows = read_csv(out)
     assert header == ["N", "t", "abs_error", "bound", "dominated"]
@@ -230,6 +230,18 @@ def test_bounds_hadamard_lnt_dominated(tmp_path):
     ]) == 0
     _, rows = read_csv(out)
     assert rows and all(r[4] == "1" for r in rows)
+
+
+@pytest.mark.parametrize("alpha", ["0.3", "0.5", "0.7", "0.9"])
+def test_bounds_hadamard_lnt_is_exact(tmp_path, alpha):
+    # the Hadamard moment expansion of ln t is exact and its bound is 0, so
+    # abs_error is rounding alone, at every default N and point
+    out = tmp_path / "b.csv"
+    assert run(["bounds", "--function", "lnt", "--method", "hadamard", "--alpha", alpha,
+                "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 9 * 20
+    assert all(float(r[2]) <= 1e-13 and float(r[3]) == 0.0 and r[4] == "1" for r in rows)
 
 
 def test_table_b_default_run_under_one_second(tmp_path):
@@ -281,20 +293,6 @@ def test_usage_errors_exit_1(tmp_path):
     assert run(["bounds", "--function", "t2", "--method", "hadamard"]) == 1
     assert run(["table-b", "--config", str(tmp_path / "missing.ini")]) == 1
     assert run(["not-a-command"]) == 1
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["derivative", "--method", "moment", "--function", "t4", "--N", "2", "--quad-n", "0"],
-        ["bounds", "--method", "moment", "--function", "t4", "--N", "2", "--quad-n", "-3"],
-    ],
-)
-def test_quad_n_below_one_exits_1(tmp_path, capsys, argv):
-    out = tmp_path / "x.csv"
-    assert run(argv + ["--out", str(out)]) == 1
-    assert "--quad-n must be >= 1" in capsys.readouterr().err
-    assert not out.exists()
 
 
 #: Sizes out of range and inputs an example ignores, with the usage message each gets.
@@ -380,6 +378,9 @@ IGNORED_FLAGS = [
     *((command, "--tol", "3") for command in ("table-b", "derivative", "indirect", "bounds")),
     ("direct", "--alpha", "0.3"),
     ("direct", "--N", "3"),
+    # the moment quadrature has no knob
+    ("derivative", "--quad-n", "10"),
+    ("bounds", "--quad-n", "-3"),
 ]
 
 
@@ -395,10 +396,8 @@ def test_flag_the_subcommand_ignores_exits_1(tmp_path, capsys, command, flag, va
 UNUSED_METHOD_FLAGS = [
     *(("derivative", method, flag, value)
       for method in ("gl", "diethelm")
-      for flag, value in (("--N", "7"), ("--points", "3"), ("--quad-n", "0"))),
+      for flag, value in (("--N", "7"), ("--points", "3"))),
     *(("derivative", method, "--n", "10") for method in ("integer", "moment")),
-    ("derivative", "integer", "--quad-n", "0"),
-    ("bounds", "integer", "--quad-n", "0"),
 ]
 
 
@@ -537,12 +536,11 @@ WRITER_CASES = {
     "derivative-integer": ["derivative", "--function", "exp2t", "--method", "integer",
                            "--N", "0", "3", "--points", "15"],
     "derivative-moment": ["derivative", "--function", "t4", "--method", "moment",
-                          "--N", "1", "4", "--points", "15", "--quad-n", "200"],
+                          "--N", "1", "4", "--points", "15"],
     "derivative-atanackovic": ["derivative", "--function", "exp2t", "--method", "atanackovic",
-                               "--N", "2", "5", "--points", "15", "--quad-n", "200"],
+                               "--N", "2", "5", "--points", "15"],
     "derivative-hadamard-moment": ["derivative", "--function", "exp2t", "--method",
-                                   "hadamard-moment", "--N", "2", "5", "--points", "15",
-                                   "--quad-n", "200"],
+                                   "hadamard-moment", "--N", "2", "5", "--points", "15"],
     "derivative-gl": ["derivative", "--function", "t2", "--method", "gl", "--n", "50", "100"],
     "derivative-diethelm": ["derivative", "--function", "exp2t", "--method", "diethelm",
                             "--n", "50", "100"],
@@ -555,9 +553,9 @@ WRITER_CASES = {
     "bounds-integer": ["bounds", "--function", "t4", "--method", "integer", "--N", "2", "5",
                        "--points", "10"],
     "bounds-moment": ["bounds", "--function", "t4", "--method", "moment", "--N", "2", "5",
-                      "--points", "10", "--quad-n", "500"],
+                      "--points", "10"],
     "bounds-hadamard": ["bounds", "--function", "exp2t", "--method", "hadamard", "--N", "2", "5",
-                        "--points", "10", "--quad-n", "500"],
+                        "--points", "10"],
     "failing-run": ["direct", "--example", "ex3", "--n", "10", "--tol", "1e-30"],
     "derivative-diethelm-large": ["derivative", "--function", "t4", "--method", "diethelm",
                                   "--n", "20000"],
@@ -744,28 +742,28 @@ def test_from_function_matches_per_node_float64_evaluation(f):
 # ---------------------------------------------------------------------------
 
 
-def _per_n_approx(method, func, alpha, N, t, quad_n):
+def _per_n_approx(method, func, alpha, N, t):
     if method in ("hadamard-moment", "hadamard"):
         coeffs = expansions.moment_coeffs(alpha, N)
-        return expansions.expand_moment(func.x, func.xdot, coeffs, t, 1.0, quad_n, hadamard=True)
+        return expansions.expand_moment(func.x, func.xdot, coeffs, t, 1.0, hadamard=True)
     coeffs = expansions.moment_coeffs(alpha, N)
     if method == "atanackovic":
-        return expansions.expand_moment(func.x, None, coeffs, t, 0.0, quad_n)
-    return expansions.expand_moment(func.x, func.xdot, coeffs, t, 0.0, quad_n)
+        return expansions.expand_moment(func.x, None, coeffs, t, 0.0)
+    return expansions.expand_moment(func.x, func.xdot, coeffs, t, 0.0)
 
 
 @pytest.mark.parametrize("method", ["moment", "atanackovic", "hadamard-moment"])
 def test_derivative_shared_moments_match_per_n_expansions(tmp_path, method):
     out = tmp_path / "d.csv"
     assert run(["derivative", "--function", "exp2t", "--method", method, "--alpha", "0.3",
-                "--N", "5", "1", "3", "8", "--points", "12", "--quad-n", "300",
+                "--N", "5", "1", "3", "8", "--points", "12",
                 "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert [int(r[0]) for r in rows[::12]] == [5, 1, 3, 8]
     func = CATALOG["exp2t"]
     for r in rows:
         N, t, approx = int(r[0]), float(r[1]), float(r[3])
-        ref = _per_n_approx(method, func, 0.3, N, t, 300)
+        ref = _per_n_approx(method, func, 0.3, N, t)
         assert abs(approx - ref) <= 1e-13 * abs(ref), (N, t)
 
 
@@ -773,14 +771,14 @@ def test_derivative_shared_moments_match_per_n_expansions(tmp_path, method):
 def test_bounds_shared_moments_match_per_n_expansions(tmp_path, method, function):
     out = tmp_path / "b.csv"
     assert run(["bounds", "--function", function, "--method", method, "--alpha", "0.7",
-                "--N", "2", "6", "4", "--points", "8", "--quad-n", "400",
+                "--N", "2", "6", "4", "--points", "8",
                 "--out", str(out)]) == 0
     _, rows = read_csv(out)
     func = CATALOG[function]
     for r in rows:
         N, t, err = int(r[0]), float(r[1]), float(r[2])
         exact = func.hadamard_exact(0.7, t) if method == "hadamard" else func.rl_exact(0.7, t)
-        ref = _per_n_approx(method, func, 0.7, N, t, 400)
+        ref = _per_n_approx(method, func, 0.7, N, t)
         assert abs(err - abs(ref - exact)) <= 1e-13 * abs(ref), (N, t)
 
 
@@ -800,9 +798,8 @@ def test_moment_route_failure_is_one_record_per_n(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setitem(CATALOG, "exp2t", dataclasses.replace(func, rl_exact=rl_exact))
     out = tmp_path / "d.csv"
-    quad_n = [] if method == "integer" else ["--quad-n", "100"]
     code = run([command, "--function", "exp2t", "--method", method, "--N", "2", "4",
-                "--points", "10", *quad_n, "--out", str(out)])
+                "--points", "10", "--out", str(out)])
     assert code == 2
     failures = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     prefix = "bounds:" if command == "bounds" else ""
@@ -812,6 +809,32 @@ def test_moment_route_failure_is_one_record_per_n(tmp_path, capsys, monkeypatch,
     assert [(int(r[0]), float(r[1])) for r in rows] == [
         (N, t) for N in (2, 4) for t in (0.1, 0.2, 0.30000000000000004)
     ]
+
+
+@pytest.mark.parametrize("command,method,t_bad", [
+    ("derivative", "moment", 0.35), ("bounds", "hadamard", 1.35),  # on [0, 1] and [1, 2]
+])
+def test_moment_side_failure_fails_every_n(tmp_path, capsys, monkeypatch, command, method, t_bad):
+    # the moments of all points are one pass, so an x that raises a numerical
+    # error there fails every N: no rows, one failure record per N
+    func = CATALOG["exp2t"]
+
+    def x(t):
+        if np.any(np.asarray(t) > t_bad):
+            raise SeriesConvergenceError("x has no value here")
+        return func.x(t)
+
+    monkeypatch.setitem(CATALOG, "exp2t", dataclasses.replace(func, x=x))
+    out = tmp_path / "d.csv"
+    code = run([command, "--function", "exp2t", "--method", method, "--N", "2", "4",
+                "--points", "10", "--out", str(out)])
+    assert code == 2
+    failures = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    prefix = "bounds:" if command == "bounds" else ""
+    assert failures == [{"run": f"{prefix}{method}:exp2t:N={N}", "error": "x has no value here"}
+                        for N in (2, 4)]
+    _, rows = read_csv(out)
+    assert rows == []
 
 
 def test_moment_overflow_drops_only_its_points(tmp_path, capsys):
@@ -826,10 +849,15 @@ def test_moment_overflow_drops_only_its_points(tmp_path, capsys):
                          "error": "moment expansion of order 200 is not finite at t = 0.01, 0.02"}]
     _, rows = read_csv(out)
     assert [float(r[1]) for r in rows] == cli._eval_grid(0.0, 1.0, 100)[2:].tolist()
-    func = CATALOG["t2"]
-    for r in rows:
-        t, approx = float(r[1]), float(r[3])
-        ref = _per_n_approx("moment", func, 0.5, 200, t, 2000)
+    # the reference is the same pass over the same points: a point's moments
+    # in one cell of its own differ by up to 2.2e-13 relative at N = 200,
+    # from cancellation in the formula
+    func, coeffs = CATALOG["t2"], expansions.moment_coeffs(0.5, 200)
+    grid = cli._eval_grid(0.0, 1.0, 100)
+    moments = expansions.moment_values(func.x, 200, grid, 0.0)
+    for r, t, v in zip(rows, grid[2:], moments[2:]):
+        approx = float(r[3])
+        ref = expansions.moment_expansion(coeffs, t, func.x(t), func.xdot(t), v)
         assert abs(approx - ref) <= 1e-13 * abs(ref), t
 
 
@@ -840,8 +868,8 @@ def _ulps(a, b):
 
 @pytest.mark.parametrize("argv, calls", [
     (["derivative", "--method", "diethelm", "--function", "exp2t", "--n", "200", "400"], 2),
-    (["derivative", "--method", "moment", "--function", "exp2t", "--quad-n", "200"], 1),
-    (["bounds", "--method", "moment", "--function", "exp2t", "--quad-n", "200"], 1),
+    (["derivative", "--method", "moment", "--function", "exp2t"], 1),
+    (["bounds", "--method", "moment", "--function", "exp2t"], 1),
 ])
 def test_one_mittag_leffler_call_per_column(tmp_path, monkeypatch, argv, calls):
     from fracvar import operators
@@ -863,9 +891,8 @@ def test_one_mittag_leffler_call_per_column(tmp_path, monkeypatch, argv, calls):
 ])
 def test_bound_column_matches_per_point_calls(tmp_path, method, function):
     out = tmp_path / "b.csv"
-    quad_n = [] if method == "integer" else ["--quad-n", "100"]
     assert run(["bounds", "--method", method, "--function", function, "--alpha", "0.3",
-                "--N", "2", "5", *quad_n, "--out", str(out)]) == 0
+                "--N", "2", "5", "--out", str(out)]) == 0
     _, rows = read_csv(out)
     func = CATALOG[function]
     a = 1.0 if method == "hadamard" else 0.0
@@ -879,11 +906,11 @@ def test_bound_column_matches_per_point_calls(tmp_path, method, function):
 
 
 @pytest.mark.parametrize("argv, exact", [
-    (["derivative", "--method", "moment", "--function", "exp2t", "--quad-n", "100"],
+    (["derivative", "--method", "moment", "--function", "exp2t"],
      lambda func, t: func.rl_exact(0.3, t)),
     (["derivative", "--method", "diethelm", "--function", "exp2t", "--n", "50"],
      lambda func, t: caputo_exact(func, 0.3, t)),
-    (["derivative", "--method", "hadamard-moment", "--function", "t4", "--quad-n", "100"],
+    (["derivative", "--method", "hadamard-moment", "--function", "t4"],
      lambda func, t: func.hadamard_exact(0.3, t)),
     (["derivative", "--method", "integer", "--function", "t4"],
      lambda func, t: func.rl_exact(0.3, t)),
@@ -903,13 +930,12 @@ ALPHA_EDGE_RUNS = [
     ["derivative", "--method", "gl", "--function", "t2", "--n", "20"],
     ["derivative", "--method", "diethelm", "--function", "t2", "--n", "20"],
     ["derivative", "--method", "integer", "--points", "5"],
-    ["derivative", "--method", "moment", "--points", "5", "--quad-n", "50"],
-    ["derivative", "--method", "atanackovic", "--points", "5", "--quad-n", "50"],
-    ["derivative", "--method", "hadamard-moment", "--function", "lnt", "--points", "5",
-     "--quad-n", "50"],
+    ["derivative", "--method", "moment", "--points", "5"],
+    ["derivative", "--method", "atanackovic", "--points", "5"],
+    ["derivative", "--method", "hadamard-moment", "--function", "lnt", "--points", "5"],
     ["bounds", "--method", "integer", "--points", "5"],
-    ["bounds", "--method", "moment", "--points", "5", "--quad-n", "50"],
-    ["bounds", "--method", "hadamard", "--function", "lnt", "--points", "5", "--quad-n", "50"],
+    ["bounds", "--method", "moment", "--points", "5"],
+    ["bounds", "--method", "hadamard", "--function", "lnt", "--points", "5"],
     ["indirect", "--example", "ex2-integer", "--n", "20"],
     ["indirect", "--example", "ex2-moment", "--n", "20"],
     ["indirect", "--example", "ex4-moment", "--n", "20"],
@@ -917,11 +943,12 @@ ALPHA_EDGE_RUNS = [
 
 
 # the one failure each alpha may record: gamma raises GammaPoleError within
-# 1e-14 of its poles, which Gamma(alpha) and Gamma(1 - alpha) reach; at 1e-13
-# B ~ alpha / N enters ex4-moment's collocation matrix as B^-2 >= 4e26, which
-# the refinement estimate rejects
+# 1e-14 of its poles, which Gamma(1 - alpha) reaches (the moment coefficients
+# never take Gamma(alpha)); at 1e-13 and 1e-15 B ~ alpha / N enters
+# ex4-moment's collocation matrix as B^-2 >= 4e26, which the refinement
+# estimate rejects
 ALPHA_EDGE_FAILURE = {
-    "1e-15": "gamma pole",
+    "1e-15": "collocation solve unreliable",
     "1e-13": "collocation solve unreliable",
     repr(1.0 - 1e-15): "gamma pole",
 }
@@ -954,7 +981,7 @@ def test_bound_that_raises_is_a_failure_record(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(expansions, "bound_moment", bound_or_pole)
     out = tmp_path / "b.csv"
     code = run(["bounds", "--method", "moment", "--N", "2", "4", "--points", "5",
-                "--quad-n", "50", "--out", str(out)])
+                "--out", str(out)])
     assert code == 2
     failures = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert failures == [{"run": "bounds:moment:t4:N=4", "error": "pole in the bound"}]

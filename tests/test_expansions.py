@@ -20,12 +20,9 @@ from fracvar.expansions import (
     moment_expansion,
     moment_values,
 )
-from fracvar.expansions import _eval_on
+from fracvar.expansions import MOMENT_NODES
 from fracvar.operators import hadamard_logpow_exact, rl_exp_exact, rl_power_exact
 from fracvar.specfun import gamma, mittag_leffler
-
-QUAD_N = 8000
-
 
 def power_bundle(m, order=10):
     def deriv(k):
@@ -241,66 +238,104 @@ def test_expand_integer_right_mirror_power():
 # ---------------------------------------------------------------------------
 
 
-# the per-order trapezoid quadratures, one grid and one evaluation of x per
-# order: the reference for the one-pass kernel
-
-
-def oracle_moments_vp(x, p, t, a, quad_n):
-    if t == a:
-        return 0.0
-    grid = np.linspace(a, t, quad_n + 1)
-    integrand = (grid - a) ** (p - 2) * _eval_on(x, grid)
-    return float((1 - p) * np.trapezoid(integrand, dx=(t - a) / quad_n))
-
-
-def oracle_moments_wp(x, p, t, b, quad_n):
-    if t == b:
-        return 0.0
-    grid = np.linspace(t, b, quad_n + 1)
-    integrand = (b - grid) ** (p - 2) * _eval_on(x, grid)
-    return float((1 - p) * np.trapezoid(integrand, dx=(b - t) / quad_n))
-
-
-def oracle_hadamard_moments_vp(x, p, t, a, quad_n):
-    if t == a:
-        return 0.0
-    grid = np.linspace(a, t, quad_n + 1)
-    integrand = np.log(grid / a) ** (p - 2) * _eval_on(x, grid) / grid
-    return float((1 - p) * np.trapezoid(integrand, dx=(t - a) / quad_n))
-
-
-def oracle_hadamard_moments_wp(x, p, t, b, quad_n):
-    if t == b:
-        return 0.0
-    grid = np.linspace(t, b, quad_n + 1)
-    integrand = np.log(b / grid) ** (p - 2) * _eval_on(x, grid) / grid
-    return float((1 - p) * np.trapezoid(integrand, dx=(b - t) / quad_n))
-
-
-# (oracle, kernel keywords, terminal, interior points)
+# (kernel keywords, terminal, interior points)
 MOMENT_KINDS = (
-    (oracle_moments_vp, {}, 0.0, (0.3, 1.0)),
-    (oracle_moments_wp, {"right": True}, 1.0, (0.0, 0.55)),
-    (oracle_hadamard_moments_vp, {"hadamard": True}, 1.0, (1.3, 2.0)),
-    (oracle_hadamard_moments_wp, {"right": True, "hadamard": True}, 2.0, (1.0, 1.45)),
+    ({}, 0.0, (0.3, 1.0)),
+    ({"right": True}, 1.0, (0.0, 0.55)),
+    ({"hadamard": True}, 1.0, (1.3, 2.0)),
+    ({"right": True, "hadamard": True}, 2.0, (1.0, 1.45)),
 )
 
+#: Every moment form with x = u^m in its own variable s, so that V_p is
+#: (1-p) s^(p-1+m) / (p-1+m): (keywords, terminal, grid, x of m, s of t).
+#: The Hadamard forms use 20 points: x = ln(b/t)^m itself loses about
+#: eps / ln(b/t) relative next to the terminal, which at 100 points is more
+#: than the kernel's own error.
+CLOSED_FORM_CASES = {
+    "left": ({}, 0.0, np.linspace(0.0, 1.0, 101)[1:],
+             lambda m: lambda t: t**m, lambda t: t - 0.0),
+    "right": ({"right": True}, 1.0, np.linspace(0.0, 1.0, 101)[:-1],
+              lambda m: lambda t: (1.0 - t) ** m, lambda t: 1.0 - t),
+    "hadamard": ({"hadamard": True}, 1.0, np.linspace(1.0, 2.0, 21)[1:],
+                 lambda m: lambda t: np.log(t) ** m, lambda t: np.log(t / 1.0)),
+    "right-hadamard": ({"right": True, "hadamard": True}, 2.0, np.linspace(1.0, 2.0, 21)[:-1],
+                       lambda m: lambda t: np.log(2.0 / t) ** m, lambda t: np.log(2.0 / t)),
+}
 
-@pytest.mark.parametrize("quad_n", [1, 7, 2000, 20000])
-def test_moment_kernel_matches_per_order_quadrature(quad_n):
-    # positive integrands, so the relative error is that of each term
-    functions = (
-        lambda t: np.exp(2.0 * t),  # evaluated on the whole grid at once
-        lambda t: 1.0 + math.sin(3.0 * t) ** 2,  # scalar only: one call per point
-    )
-    for oracle, kind, terminal, points in MOMENT_KINDS:
-        for x in functions:
-            for t in points:
-                values = moment_values(x, 12, t, terminal, quad_n, **kind)
-                assert values.shape == (11,)
-                for p in range(2, 13):
-                    ref = oracle(x, p, t, terminal, quad_n)
-                    assert abs(values[p - 2] - ref) <= 1e-13 * abs(ref), (kind, t, p)
+
+def assert_moments_within(values, refs, N):
+    # 2e-15 p relative for order p: the rounding of s enters as s^(p-1).
+    # References below the normal range carry no relative digits, so they
+    # are left out.
+    p = np.arange(2, N + 1)
+    normal = np.abs(refs) >= np.finfo(float).tiny
+    assert normal[:, :20].all()
+    err = np.abs(values - refs)
+    assert np.all(err[normal] <= (2e-15 * p * np.abs(refs))[normal])
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 4])
+@pytest.mark.parametrize("form", list(CLOSED_FORM_CASES))
+def test_moments_match_closed_forms_up_to_order_400(form, m):
+    kind, terminal, points, x_of, s_of = CLOSED_FORM_CASES[form]
+    N = 400
+    values = moment_values(x_of(m), N, points, terminal, **kind)
+    assert values.shape == (len(points), N - 1)
+    s = s_of(points)[:, None]
+    p = np.arange(2, N + 1)
+    with np.errstate(under="ignore"):
+        refs = (1.0 - p) * s ** (p - 1.0 + m) / (p - 1.0 + m)
+    assert_moments_within(values, refs, N)
+
+
+def mp_series_moments(coefficient, s, N):
+    """V_2..V_N at s <= 1 of x(u) = sum_j coefficient(j) u^j, from the first
+    40 terms of the series (2^40 / 40! < 1e-35) integrated term by term at
+    30 digits."""
+    with mpmath.workdps(30):
+        s = mpmath.mpf(float(s))
+        terms = [(coefficient(j) * s**j, j) for j in range(40)]
+        out, power = [], s
+        for p in range(2, N + 1):  # power = s^(p-1)
+            out.append(float((1 - p) * power * sum(c / (p - 1 + e) for c, e in terms)))
+            power *= s
+        return out
+
+
+@pytest.mark.parametrize("x, coefficient", [
+    (lambda t: np.exp(2.0 * t), lambda j: mpmath.mpf(2) ** j / mpmath.factorial(j)),
+    # scalar only: the kernel's one array call falls back to a call per node
+    (lambda t: math.sin(t), lambda j: (-1) ** (j // 2) / mpmath.factorial(j) if j % 2 else 0),
+], ids=["exp2t", "sin"])
+def test_moments_match_mpmath_series_up_to_order_400(x, coefficient):
+    N, points = 400, np.linspace(0.0, 1.0, 21)[1:]
+    values = moment_values(x, N, points, 0.0)
+    refs = np.array([mp_series_moments(coefficient, t, N) for t in points])
+    assert_moments_within(values, refs, N)
+
+
+def test_moment_kernel_is_one_running_sum_in_any_order():
+    # the points may come in any order and repeat; each gets the value it
+    # gets alone on the sorted grid, and x is evaluated once on all nodes
+    calls = []
+
+    def x(t):
+        calls.append(np.shape(t))
+        return np.exp(2.0 * t)
+
+    for kind, terminal, points in MOMENT_KINDS:
+        far = max(points, key=lambda t: abs(t - terminal))
+        grid = np.linspace(terminal, far, 9)  # sorted by s, from the terminal on
+        shuffled = grid[[4, 0, 8, 2, 4, 7, 1, 3, 6, 5]]
+        calls.clear()
+        got = moment_values(x, 12, shuffled, terminal, **kind)
+        assert calls == [(8 * MOMENT_NODES,)]  # nine points, one of them the terminal
+        sorted_values = moment_values(x, 12, grid, terminal, **kind)
+        assert got.shape == (10, 11)
+        assert np.array_equal(got, sorted_values[[4, 0, 8, 2, 4, 7, 1, 3, 6, 5]])
+        for t, row in zip(shuffled, got):
+            single = moment_values(x, 12, t, terminal, **kind)
+            assert np.allclose(row, single, rtol=1e-14, atol=0.0), (kind, t)
 
 
 def test_moment_kernel_is_zero_at_terminal():
@@ -310,9 +345,11 @@ def test_moment_kernel_is_zero_at_terminal():
         calls.append(t)
         return 1.0
 
-    for _, kind, terminal, _ in MOMENT_KINDS:
-        values = moment_values(x, 12, terminal, terminal, 100, **kind)
+    for kind, terminal, _ in MOMENT_KINDS:
+        values = moment_values(x, 12, terminal, terminal, **kind)
         assert values.shape == (11,) and np.all(values == 0.0)
+        values = moment_values(x, 12, np.full(3, terminal), terminal, **kind)
+        assert values.shape == (3, 11) and np.all(values == 0.0)
     assert not calls
 
 
@@ -320,33 +357,34 @@ def test_moment_kernel_below_order_two_evaluates_nothing():
     def x(t):
         raise AssertionError("x evaluated")
 
-    assert moment_values(x, 1, 0.5, 0.0, 100).shape == (0,)
+    assert moment_values(x, 1, 0.5, 0.0).shape == (0,)
+    assert moment_values(x, 1, np.array([0.2, 0.5]), 0.0).shape == (2, 0)
     coeffs = moment_coeffs(0.5, 1)
-    got = expand_moment(lambda t: 2.0, lambda t: 0.0, coeffs, 0.5, 0.0, 100)
+    got = expand_moment(lambda t: 2.0, lambda t: 0.0, coeffs, 0.5, 0.0)
     assert got == pytest.approx(coeffs.A * 0.5**-0.5 * 2.0 + 0.0, rel=1e-15)
 
 
 def test_moment_kernel_validation():
     with pytest.raises(ValueError):
-        moment_values(lambda t: t, 3, 0.5, 0.0, 0)
+        moment_values(lambda t: t, 3, -0.5, 0.0)  # t < a
     with pytest.raises(ValueError):
-        moment_values(lambda t: t, 3, -0.5, 0.0, 10)  # t < a
+        moment_values(lambda t: t, 3, np.array([0.5, -0.5]), 0.0)  # one point t < a
     with pytest.raises(ValueError):
-        moment_values(lambda t: t, 3, 1.5, 1.0, 10, right=True)  # t > b
+        moment_values(lambda t: t, 3, 1.5, 1.0, right=True)  # t > b
     with pytest.raises(ValueError):
-        moment_values(lambda t: t, 3, 0.0, 1.0, 10, right=True, hadamard=True)
+        moment_values(lambda t: t, 3, 0.0, 1.0, right=True, hadamard=True)
 
 
 def test_moment_expansion_uses_the_moment_prefix():
     # moments computed once at a larger N give the same value at every N
     x, xd = lambda t: np.exp(2.0 * t), lambda t: 2.0 * np.exp(2.0 * t)
     t = 0.7
-    long = moment_values(x, 10, t, 0.0, 500)
+    long = moment_values(x, 10, t, 0.0)
     for N in (1, 2, 5, 10):
         coeffs = moment_coeffs(0.4, N)
-        assert np.array_equal(moment_values(x, N, t, 0.0, 500), long[: N - 1])
+        assert np.array_equal(moment_values(x, N, t, 0.0), long[: N - 1])
         got = moment_expansion(coeffs, t, float(x(t)), float(xd(t)), long)
-        assert got == expand_moment(x, xd, coeffs, t, 0.0, 500)
+        assert got == expand_moment(x, xd, coeffs, t, 0.0)
         assert isinstance(got, float)
     with pytest.raises(ValueError):
         moment_expansion(moment_coeffs(0.4, 5), t, 1.0, 1.0, long[:3])
@@ -357,7 +395,7 @@ def test_moment_expansion_on_arrays():
     # non-finite entry raises, naming its s
     x, xd = lambda t: np.exp(2.0 * t), lambda t: 2.0 * np.exp(2.0 * t)
     ts = np.array([0.01, 0.3, 0.7, 1.0])
-    moments = np.array([moment_values(x, 200, t, 0.0, 200) for t in ts])
+    moments = moment_values(x, 200, ts, 0.0)
     for N, xs in ((6, xd(ts)), (6, None), (40, xd(ts))):
         coeffs = moment_coeffs(0.4, N)
         got = moment_expansion(coeffs, ts, x(ts), xs, moments)
@@ -371,27 +409,25 @@ def test_moment_expansion_on_arrays():
 
 
 def test_moments_vp_closed_forms():
-    assert moment_values(lambda t: 1.0, 2, 0.7, 0.0, 100)[0] == pytest.approx(-0.7, rel=1e-13)
-    assert moment_values(lambda t: t, 2, 0.6, 0.0, 100)[0] == pytest.approx(-0.18, rel=1e-12)
-    assert moment_values(lambda t: t**3, 5, 0.0, 0.0, 100)[3] == 0.0
+    assert moment_values(lambda t: 1.0, 2, 0.7, 0.0)[0] == pytest.approx(-0.7, rel=1e-13)
+    assert moment_values(lambda t: t, 2, 0.6, 0.0)[0] == pytest.approx(-0.18, rel=1e-12)
+    assert moment_values(lambda t: t**3, 5, 0.0, 0.0)[3] == 0.0
 
 
 def test_moments_wp_vanish_at_right_end():
-    assert moment_values(lambda t: t, 3, 1.0, 1.0, 100, right=True)[1] == 0.0
-    assert moment_values(lambda t: t, 3, 2.0, 2.0, 100, right=True, hadamard=True)[1] == 0.0
+    assert moment_values(lambda t: t, 3, 1.0, 1.0, right=True)[1] == 0.0
+    assert moment_values(lambda t: t, 3, 2.0, 2.0, right=True, hadamard=True)[1] == 0.0
 
 
 def test_left_moment_state_initial_condition():
-    values = moment_values(lambda t: math.sin(t), 5, 0.0, 0.0, 50)
+    values = moment_values(lambda t: math.sin(t), 5, 0.0, 0.0)
     assert values.shape == (4,)
     assert np.all(values == 0.0)
 
 
 def test_moment_args_validated():
     with pytest.raises(ValueError):
-        moment_values(lambda t: t, 2, 0.5, 0.0, 0)
-    with pytest.raises(ValueError):
-        moment_values(lambda t: t, 2, 2.0, 0.0, 100, hadamard=True)
+        moment_values(lambda t: t, 2, 2.0, 0.0, hadamard=True)
 
 
 # ---------------------------------------------------------------------------
@@ -405,28 +441,28 @@ def test_expand_moment_left_t4_converges_in_n():
     errs = []
     for N in (3, 6, 9):
         coeffs = moment_coeffs(0.5, N)
-        errs.append(abs(expand_moment(x, xd, coeffs, 1.0, 0.0, QUAD_N) - exact))
+        errs.append(abs(expand_moment(x, xd, coeffs, 1.0, 0.0) - exact))
     assert errs[0] > errs[1] > errs[2]
     assert errs[0] < 0.5
 
 
 def test_expand_moment_left_zero_function():
     coeffs = moment_coeffs(0.5, 4)
-    assert expand_moment(lambda t: 0.0, lambda t: 0.0, coeffs, 0.7, 0.0, 100) == 0.0
+    assert expand_moment(lambda t: 0.0, lambda t: 0.0, coeffs, 0.7, 0.0) == 0.0
 
 
 def test_expand_moment_left_exp_improves_with_n():
     x, xd = lambda t: math.exp(2.0 * t), lambda t: 2.0 * math.exp(2.0 * t)
     exact = rl_exp_exact(2.0, 0.5, 1.0)
-    e3 = abs(expand_moment(x, xd, moment_coeffs(0.5, 3), 1.0, 0.0, QUAD_N) - exact)
-    e6 = abs(expand_moment(x, xd, moment_coeffs(0.5, 6), 1.0, 0.0, QUAD_N) - exact)
+    e3 = abs(expand_moment(x, xd, moment_coeffs(0.5, 3), 1.0, 0.0) - exact)
+    e6 = abs(expand_moment(x, xd, moment_coeffs(0.5, 6), 1.0, 0.0) - exact)
     assert e6 < e3
 
 
 def test_expand_moment_left_domain_error():
     coeffs = moment_coeffs(0.5, 3)
     with pytest.raises(ExpansionDomainError):
-        expand_moment(lambda t: t, lambda t: 1.0, coeffs, 0.0, 0.0, 100)
+        expand_moment(lambda t: t, lambda t: 1.0, coeffs, 0.0, 0.0)
 
 
 def test_expand_moment_right_pieces():
@@ -434,7 +470,7 @@ def test_expand_moment_right_pieces():
     coeffs = moment_coeffs(0.5, 2)
     b, t = 1.0, 0.4
     expect = coeffs.A * (b - t) ** -0.5 + coeffs.c(2) * (b - t) ** -0.5
-    got = expand_moment(lambda s: 1.0, lambda s: 0.0, coeffs, t, b, 2000, right=True)
+    got = expand_moment(lambda s: 1.0, lambda s: 0.0, coeffs, t, b, right=True)
     assert got == pytest.approx(expect, rel=1e-10)
 
 
@@ -442,37 +478,35 @@ def test_expand_moment_right_mirror_power():
     # right derivative of (1-t)^2 mirrors the left power rule
     x, xd = lambda s: (1.0 - s) ** 2, lambda s: -2.0 * (1.0 - s)
     exact = gamma(3.0) / gamma(2.5) * (1.0 - 0.3) ** 1.5
-    approx = expand_moment(x, xd, moment_coeffs(0.5, 12), 0.3, 1.0, QUAD_N, right=True)
+    approx = expand_moment(x, xd, moment_coeffs(0.5, 12), 0.3, 1.0, right=True)
     assert approx == pytest.approx(exact, rel=0.05)
 
 
 def test_expand_moment_right_zero():
     coeffs = moment_coeffs(0.5, 3)
-    assert expand_moment(lambda t: 0.0, lambda t: 0.0, coeffs, 0.2, 1.0, 100, right=True) == 0.0
+    assert expand_moment(lambda t: 0.0, lambda t: 0.0, coeffs, 0.2, 1.0, right=True) == 0.0
 
 
 def test_expand_caputo_constant_is_small():
     # Caputo of a constant is 0.  For constants the moment expansion is exact
-    # at every N (A + sum C_p = 1/Gamma(1-alpha) identically), so the residue
-    # is pure quadrature error: tiny, and shrinking as panels are added
+    # at every N (A + sum C_p = 1/Gamma(1-alpha) identically), and the Gauss
+    # pass integrates u^(p-2) exactly, so the residue is rounding alone
     x, xd = lambda t: 2.0, lambda t: 0.0
 
-    def caputo(coeffs, quad_n, t=0.7):
+    def caputo(coeffs, t=0.7):
         # the left Caputo expansion: the RL one minus x(a) (t-a)^-alpha / Gamma(1-alpha)
-        rl = expand_moment(x, xd, coeffs, t, 0.0, quad_n)
+        rl = expand_moment(x, xd, coeffs, t, 0.0)
         return rl - x(0.0) / (t**coeffs.alpha * gamma(1.0 - coeffs.alpha))
 
     for N in (4, 16, 64):
-        res = abs(caputo(moment_coeffs(0.5, N), 2000))
+        res = abs(caputo(moment_coeffs(0.5, N)))
         assert res < 1e-3
-    coarse = abs(caputo(moment_coeffs(0.5, 16), 500))
-    fine = abs(caputo(moment_coeffs(0.5, 16), 8000))
-    assert fine < coarse
+        assert res <= 1e-12
 
 
 def test_atanackovic_zero_function():
     coeffs = moment_coeffs(0.5, 3)
-    assert expand_moment(lambda t: 0.0, None, coeffs, 0.6, 0.0, 100) == 0.0
+    assert expand_moment(lambda t: 0.0, None, coeffs, 0.6, 0.0) == 0.0
 
 
 def test_atanackovic_inferior_to_full_moment():
@@ -487,10 +521,10 @@ def test_atanackovic_inferior_to_full_moment():
         ),
     ):
         err_mom = max(
-            abs(expand_moment(x, xd, coeffs, t, 0.0, 2000) - exact(t)) for t in grid
+            abs(expand_moment(x, xd, coeffs, t, 0.0) - exact(t)) for t in grid
         )
         err_atan = max(
-            abs(expand_moment(x, None, coeffs, t, 0.0, 2000) - exact(t)) for t in grid
+            abs(expand_moment(x, None, coeffs, t, 0.0) - exact(t)) for t in grid
         )
         assert err_mom < err_atan
 
@@ -556,7 +590,7 @@ def test_hadamard_moment_lnt_is_exact_up_to_quadrature():
     for t in (1.2, 1.8, 2.0):
         exact = hadamard_logpow_exact(1.0, 0.5, t)
         for hc in (hc2, hc8):
-            got = expand_moment(math.log, lambda s: 1.0 / s, hc, t, 1.0, 20000, hadamard=True)
+            got = expand_moment(math.log, lambda s: 1.0 / s, hc, t, 1.0, hadamard=True)
             assert abs(got - exact) <= 1e-8
 
 
@@ -566,15 +600,15 @@ def test_hadamard_moment_t4_error_decreases():
     errs = []
     for N in (2, 4, 6):
         hc = moment_coeffs(0.5, N)
-        errs.append(abs(expand_moment(x, xd, hc, 2.0, 1.0, QUAD_N, hadamard=True) - exact))
+        errs.append(abs(expand_moment(x, xd, hc, 2.0, 1.0, hadamard=True) - exact))
     assert errs[0] > errs[1] > errs[2]
 
 
 def test_hadamard_moment_zero_function():
     hc = moment_coeffs(0.5, 3)
-    assert expand_moment(lambda t: 0.0, lambda t: 0.0, hc, 2.0, 1.0, 100, hadamard=True) == 0.0
+    assert expand_moment(lambda t: 0.0, lambda t: 0.0, hc, 2.0, 1.0, hadamard=True) == 0.0
     assert (
-        expand_moment(lambda t: 0.0, lambda t: 0.0, hc, 1.5, 2.0, 100, right=True, hadamard=True)
+        expand_moment(lambda t: 0.0, lambda t: 0.0, hc, 1.5, 2.0, right=True, hadamard=True)
         == 0.0
     )
 
@@ -585,10 +619,10 @@ def test_hadamard_moment_right_mirror():
     a, b = 1.0, math.e
     t = 1.5
     hc = moment_coeffs(0.5, 5)
-    left = expand_moment(math.log, lambda s: 1.0 / s, hc, t, a, 20000, hadamard=True)
+    left = expand_moment(math.log, lambda s: 1.0 / s, hc, t, a, hadamard=True)
     xr = lambda s: math.log(a * b / s)
     xrd = lambda s: -1.0 / s
-    right = expand_moment(xr, xrd, hc, a * b / t, b, 20000, right=True, hadamard=True)
+    right = expand_moment(xr, xrd, hc, a * b / t, b, right=True, hadamard=True)
     assert right == pytest.approx(left, abs=1e-6)
 
 
@@ -657,7 +691,7 @@ def test_bound_moment_dominates_t4():
     coeffs = moment_coeffs(0.5, 10)
     for t in np.linspace(0.1, 1.0, 10):
         err = abs(
-            expand_moment(x, xd, coeffs, t, 0.0, 4000)
+            expand_moment(x, xd, coeffs, t, 0.0)
             - rl_power_exact(4.0, 0.5, t, 0.0)
         )
         assert err <= bound_moment(12.0 * t**2, 0.5, 10, t, 0.0) + 1e-8
@@ -683,7 +717,7 @@ def test_bound_hadamard_dominates_lnt():
     hc = moment_coeffs(0.5, 8)
     for t in np.linspace(1.1, 2.0, 10):
         err = abs(
-            expand_moment(math.log, lambda s: 1.0 / s, hc, t, 1.0, 20000, hadamard=True)
+            expand_moment(math.log, lambda s: 1.0 / s, hc, t, 1.0, hadamard=True)
             - hadamard_logpow_exact(1.0, 0.5, t)
         )
         assert err <= 1e-8
@@ -705,23 +739,22 @@ def test_expansions_linear_in_function():
         combo = lambda t: a * f(t) + b * g(t)
         combo_d = lambda t: a * fd(t) + b * gd(t)
         t0 = 0.8
-        lhs = expand_moment(combo, combo_d, coeffs, t0, 0.0, 2000)
-        rhs = a * expand_moment(f, fd, coeffs, t0, 0.0, 2000) + b * expand_moment(
-            g, gd, coeffs, t0, 0.0, 2000
-        )
+        lhs = expand_moment(combo, combo_d, coeffs, t0, 0.0)
+        rhs = a * expand_moment(f, fd, coeffs, t0, 0.0) + b * expand_moment(
+            g, gd, coeffs, t0, 0.0)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-        lhs = expand_moment(combo, combo_d, coeffs, t0, 1.0, 2000, right=True)
-        rhs = a * expand_moment(f, fd, coeffs, t0, 1.0, 2000, right=True)
-        rhs += b * expand_moment(g, gd, coeffs, t0, 1.0, 2000, right=True)
+        lhs = expand_moment(combo, combo_d, coeffs, t0, 1.0, right=True)
+        rhs = a * expand_moment(f, fd, coeffs, t0, 1.0, right=True)
+        rhs += b * expand_moment(g, gd, coeffs, t0, 1.0, right=True)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-        lhs = expand_moment(combo, None, coeffs, t0, 0.0, 2000)
-        rhs = a * expand_moment(f, None, coeffs, t0, 0.0, 2000)
-        rhs += b * expand_moment(g, None, coeffs, t0, 0.0, 2000)
+        lhs = expand_moment(combo, None, coeffs, t0, 0.0)
+        rhs = a * expand_moment(f, None, coeffs, t0, 0.0)
+        rhs += b * expand_moment(g, None, coeffs, t0, 0.0)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
         t1 = 1.7
-        lhs = expand_moment(combo, combo_d, hc, t1, 1.0, 2000, hadamard=True)
-        rhs = a * expand_moment(f, fd, hc, t1, 1.0, 2000, hadamard=True) + b * expand_moment(
-            g, gd, hc, t1, 1.0, 2000, hadamard=True
+        lhs = expand_moment(combo, combo_d, hc, t1, 1.0, hadamard=True)
+        rhs = a * expand_moment(f, fd, hc, t1, 1.0, hadamard=True) + b * expand_moment(
+            g, gd, hc, t1, 1.0, hadamard=True
         )
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
@@ -753,7 +786,7 @@ def test_cross_family_agreement_within_bound_sum():
     coeffs = moment_coeffs(0.5, 8)
     for t in np.linspace(0.2, 1.0, 5):
         vi = expand_integer(bundle, 0.5, 5, t, 0.0)
-        vm = expand_moment(x, xd, coeffs, t, 0.0, 4000)
+        vm = expand_moment(x, xd, coeffs, t, 0.0)
         cap = bound_integer(2.0**6 * math.exp(2.0 * t), 0.5, 5, t, 0.0) + bound_moment(
             4.0 * math.exp(2.0 * t), 0.5, 8, t, 0.0
         )

@@ -482,6 +482,19 @@ def test_hadamard_logpow_exact_values():
     )
 
 
+def test_hadamard_logpow_exact_on_arrays():
+    # elementwise: an array gives each node's scalar value (array pow may
+    # round 1 ulp differently), and one node at or below t = 1 raises
+    t = np.linspace(1.0, 2.0, 51)[1:]
+    for alpha in (0.3, 0.7):
+        got = hadamard_logpow_exact(1.0, alpha, t)
+        ref = np.array([hadamard_logpow_exact(1.0, alpha, float(ti)) for ti in t])
+        assert got.shape == t.shape
+        assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref)))
+    with pytest.raises(ValueError, match="t > 1"):
+        hadamard_logpow_exact(1.0, 0.5, np.array([1.5, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # error metrics
 # ---------------------------------------------------------------------------
